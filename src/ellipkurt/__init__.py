@@ -47,7 +47,7 @@ from .inference import (
     tau_hat,
     z_quantile,
 )
-from .linalg import TracePowers, gram, sqrt_psd, symmetrize, toeplitz_ar1, trace_powers
+from .linalg import TracePowers, sqrt_psd, symmetrize, toeplitz_ar1, trace_powers
 from .models import (
     ChiSquared,
     EllipticalSpec,

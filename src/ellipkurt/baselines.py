@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     SingularMatrixError,
 )
-from .linalg import check_symmetric, symmetrize
+from .linalg import centered_gram, check_symmetric, require_finite
 
 __all__ = ["oracle_theta", "wl_theta"]
 
@@ -63,8 +63,8 @@ def wl_theta(X) -> float:
 
     theta ~= (var ||X - Xbar||^2 + tr^2 S) / (tr^2 S + 2 tr S^2) with S the
     sample covariance (divisor n - 1, no bias correction) and the variance
-    taken with divisor n - 1. Trace powers of S come from the centered
-    Gram matrix, so the cost is O(n^2 p) for any p.
+    taken with divisor n - 1. tr S and tr S^2 come from the centered Gram
+    summary, so the cost is O(n p min(n, p)).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -72,13 +72,14 @@ def wl_theta(X) -> float:
             f"need at least 2 observations, got shape {X.shape}"
         )
     n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    H = symmetrize(Xc @ Xc.T)
-    s = np.diag(H)
-    tr1 = math.fsum(s) / (n - 1)
-    tr2 = math.fsum((H * H).ravel()) / (n - 1) ** 2
+    cg = centered_gram(X)
+    tr1 = cg.T / (n - 1)
+    tr2 = cg.W / (n - 1) ** 2
     den = tr1 * tr1 + 2.0 * tr2
-    if den <= 0.0 or not den > 1e-24 * max(1.0, float(np.max(s)) ** 2):
+    g_max = float(np.max(cg.g))
+    if den <= 0.0 or not den > 1e-24 * max(1.0, g_max * g_max):
         raise DegenerateDataError("sample covariance is numerically zero")
-    v = float(np.var(s, ddof=1))
-    return (v + tr1 * tr1) / den
+    v = float(np.var(cg.g, ddof=1))
+    out = (v + tr1 * tr1) / den
+    require_finite(out)
+    return out

@@ -248,7 +248,8 @@ def _validate_ustat(report: _CheckReport, rng: np.random.Generator, quick: bool)
     families = ("normal", "kotz", "t", "laplace")
     for case in range(n_cases):
         n = int(rng.integers(4, 13))
-        p = int(rng.integers(1, 6))
+        # p straddles n, so both sides of the centered-Gram reduction run.
+        p = int(rng.integers(1, 2 * n))
         law = make_law(families[case % 4], p)
         xi = np.sqrt(law.sample_squared(rng, n))
         U = sample_sphere(p, rng, n)

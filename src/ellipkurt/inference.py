@@ -4,9 +4,12 @@ estimate.
 Every interval has the form  theta_hat +- sigma_hat / sqrt(n) * z(alpha/2)
 with a method-specific asymptotic scale sigma_hat:
 
-* ``example1``: families whose squared radius is a sum of p i.i.d.
-  squared variables with fourth-moment excess Delta = (p + 2)(theta - 1);
-  sigma_hat = sqrt(2) |Delta_hat / p + 2 t3 / t2|.
+* ``example1`` and ``case1``: one light-tail scale, sigma_hat^2 =
+  2 ((tau_hat - 2)/p + 2 t3/t2)^2 with tau_hat = (p + 2) theta_hat - p.
+  ``example1`` reads it for families whose squared radius is a sum of p
+  i.i.d. squared variables with fourth-moment excess
+  Delta = (p + 2)(theta - 1) = tau - 2; ``case1`` is the generic
+  light-tail plug-in. Both spellings give the same interval.
 * ``kotz``    : the Gamma-radius family, where the light-tail scale
   constant is 4; sigma_hat = sqrt(8) (1/p + t3/t2).
 * ``t``       : heavy-tail F-radius family with degrees of freedom
@@ -14,9 +17,6 @@ with a method-specific asymptotic scale sigma_hat:
   d_n > 8.
 * ``laplace`` : exponential-mixture family; the limit distribution has
   variance 4, so sigma_hat = 2.
-* ``case1``   : generic light-tail plug-in, sigma_hat^2 =
-  2 ((tau_hat - 2)/p + 2 t3/t2)^2 with tau_hat = (p + 2) theta_hat - p.
-  Algebraically identical to ``example1``.
 * ``case2``   : generic heavy-tail plug-in using sixth- and eighth-moment
   ratio estimates from the sample (see :func:`plugin_moments_case2`).
 """
@@ -38,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedDofError,
 )
-from .linalg import symmetrize, trace_powers
+from .linalg import centered_gram, exact_sum, require_finite, trace_powers
 from .ustat import KurtosisEstimate
 
 __all__ = [
@@ -151,9 +151,9 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
 
     where m_k is the k-th power sum (1/n) sum_i ||X_i - Xbar||^{2k} and
     T, T2, T3, T4 are the first four trace powers of the sample covariance
-    (divisor n - 1). Trace powers are evaluated through the n x n centered
-    Gram matrix, so the p x p covariance is never formed and the cost is
-    O(n^2 p + n^3).
+    (divisor n - 1). Trace powers come from the smaller Gram matrix of the
+    centered data (see :func:`ellipkurt.linalg.centered_gram`), so the cost
+    is O(n p min(n, p) + min(n, p)^3).
 
     When ``theta_hat`` is given the kurtosis-derived plug-ins (tau, delta,
     degrees of freedom) are filled in as well.
@@ -164,22 +164,23 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
             f"need at least 2 observations for sample moments, got shape {X.shape}"
         )
     n, p = X.shape
-    Xc = X - X.mean(axis=0)
-    H = symmetrize(Xc @ Xc.T)
-    s = np.diag(H)
-    tp = trace_powers(H)
-    if tp.t1 <= 0.0 or tp.t1 * tp.t1 <= 1e-24 * max(1.0, float(np.max(np.abs(X))) ** 4):
+    cg = centered_gram(X)
+    tp = trace_powers(cg.M)
+    x_max = float(np.max(np.abs(X)))
+    if tp.t1 <= 1e-12 * max(1.0, x_max * x_max):
         raise DegenerateDataError("sample covariance is numerically zero")
-    # Trace powers of the sample covariance from those of the Gram matrix:
-    # tr((Xc' Xc)^k) == tr((Xc Xc')^k), then scale by (n - 1)^-k.
+    # Trace powers of the sample covariance, scaled by (n - 1)^-k.
     c = float(n - 1)
     t1, t2, t3, t4 = tp.t1 / c, tp.t2 / c**2, tp.t3 / c**3, tp.t4 / c**4
-    m3 = math.fsum(s**3) / n
-    m4 = math.fsum(s**4) / n
-    den3 = t1**3 + 6.0 * t1 * t2 + 8.0 * t3
-    den4 = t1**4 + 12.0 * t1**2 * t2 + 12.0 * t2**2 + 32.0 * t1 * t3 + 48.0 * t4
+    m3 = exact_sum(cg.g**3) / n
+    m4 = exact_sum(cg.g**4) / n
+    # Products, not float **, so an overflow gives inf instead of raising.
+    sq = t1 * t1
+    den3 = sq * t1 + 6.0 * t1 * t2 + 8.0 * t3
+    den4 = sq * sq + 12.0 * sq * t2 + 12.0 * t2 * t2 + 32.0 * t1 * t3 + 48.0 * t4
     varrho = p * (p + 2) * (p + 4) * m3 / den3
     varphi = p * (p + 2) * (p + 4) * (p + 6) * m4 / den4
+    require_finite(den3, den4, varrho, varphi)
     if theta_hat is None:
         return PlugInMoments(varrho_hat=varrho, varphi_hat=varphi)
     d_n = dof_hat(theta_hat) if theta_hat > 1.0 else None
@@ -218,8 +219,10 @@ def _half_width_scale(est: KurtosisEstimate, method: CiMethod, plugin) -> float:
     u = est.ustats
     p = u.p
     ratio = u.t3 / u.t2
-    if method is CiMethod.EXAMPLE1:
-        return math.sqrt(2.0) * abs(delta_hat(th, p) / p + 2.0 * ratio)
+    if method in (CiMethod.EXAMPLE1, CiMethod.CASE1):
+        # Since tau_hat - 2 = delta_hat, the generic light-tail plug-in and
+        # the i.i.d.-coordinate formula are one expression.
+        return math.sqrt(sigma2_case1(tau_hat(th, p), ratio, p))
     if method is CiMethod.KOTZ:
         return math.sqrt(8.0) * abs(1.0 / p + ratio)
     if method is CiMethod.STUDENT_T:
@@ -233,8 +236,6 @@ def _half_width_scale(est: KurtosisEstimate, method: CiMethod, plugin) -> float:
         return math.sqrt(num / den)
     if method is CiMethod.LAPLACE:
         return 2.0
-    if method is CiMethod.CASE1:
-        return math.sqrt(sigma2_case1(tau_hat(th, p), ratio, p))
     if method is CiMethod.CASE2:
         if plugin is None:
             raise InvalidParameterError("case2 interval requires plug-in moments")

@@ -1,12 +1,15 @@
 """Dense symmetric-matrix utilities.
 
-Covariance construction, PSD square roots, trace powers and Gram matrices.
-Everything is dense: the simulation settings top out around p = 1600, well
-within dense-eigendecomposition territory.
+Covariance construction, PSD square roots, trace powers, and the centered
+Gram summary of a data matrix (:func:`centered_gram`), which is the only
+place in the package that centers data or forms a Gram product. Everything
+is dense: the simulation settings top out around p = 1600, well within
+dense-eigendecomposition territory.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +115,61 @@ def trace_powers(M) -> TracePowers:
     )
 
 
-def gram(X) -> np.ndarray:
-    """Gram matrix of the rows of X: entry (i, j) is the inner product of
-    rows i and j. Output is exactly symmetric."""
+@dataclass(frozen=True)
+class CenteredGram:
+    """Scalars of the rows of X centered by the column mean.
+
+    ``g`` holds the squared centered row norms and ``M`` the smaller of the
+    two Gram matrices, Xc' Xc (p x p) when p < n and Xc Xc' (n x n)
+    otherwise; both share their nonzero eigenvalues, so every trace power
+    of M is that of either side. T = sum g_i = tr M, t = sum g_i^2 and
+    W = ||M||_F^2 are exact sums (:func:`exact_sum`).
+    """
+
+    g: np.ndarray
+    M: np.ndarray
+    T: float
+    t: float
+    W: float
+
+
+def require_finite(*values: float) -> None:
+    """Raise :class:`InvalidParameterError` when a result is not finite.
+
+    The statistics are fourth powers of the data's scale, so data whose
+    entries are finite can still overflow double precision.
+    """
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameterError(
+            "statistic is not finite: the data contain non-finite values or "
+            "their scale overflows double precision when raised to the fourth power"
+        )
+
+
+def exact_sum(a) -> float:
+    """math.fsum of the entries of ``a``: exact and independent of order.
+
+    An infinite, NaN or overflowing sum raises :class:`InvalidParameterError`.
+    """
+    try:
+        out = math.fsum(np.ravel(a).tolist())
+    except OverflowError:
+        out = math.inf
+    require_finite(out)
+    return out
+
+
+def centered_gram(X) -> CenteredGram:
+    """Center the rows of X and summarize their Gram matrix.
+
+    Costs O(n p min(n, p)). M is exactly symmetric. Raises
+    :class:`InvalidParameterError` when T, t or W overflows.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise InvalidParameterError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
-    return symmetrize(X @ X.T)
+    n, p = X.shape
+    Xc = X - X.mean(axis=0)
+    g = np.einsum("ij,ij->i", Xc, Xc)
+    M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
+    return CenteredGram(g=g, M=M, T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))

@@ -14,7 +14,7 @@ and the kurtosis estimate is (t1 + t2 - 2 t3) / (t2 + 2 t3).
 Two implementations are shipped. :func:`ustats_bruteforce` enumerates the
 quadruples directly and is the reference oracle; it costs O(n^4 p) and is
 only usable for small n. :func:`ustats_fast` evaluates the same sums in
-O(n^2 p + n^2) through inclusion-exclusion on index coincidences; the
+O(n p min(n, p)) through inclusion-exclusion on index coincidences; the
 differential test between the two is the correctness argument for the
 reduction, so the brute force is part of the public API rather than
 test-only code (see :func:`ustats`).
@@ -23,14 +23,12 @@ Derivation of the fast path
 ---------------------------
 Work with rows centered by the column mean (a no-op for all three kernels,
 which only see differences, but it shrinks cancellation error). Let H be
-the Gram matrix of the centered rows, g = diag(H), and
-D_ij = g_i + g_j - 2 H_ij the squared distances. Because H is the Gram
-matrix of centered rows, its row sums vanish, which collapses most cross
-terms below. Write
+the n x n Gram matrix of the centered rows, g = diag(H), and
+D_ij = g_i + g_j - 2 H_ij the squared distances. Write
 
+    T = sum_i g_i      t = sum_i g_i^2      W = sum_{i,j} H_ij^2
     S1 = sum_{i != j} D_ij        S2 = sum_{i != j} D_ij^2
-    Q  = sum_i (row sum of D)^2   W  = sum_{i,j} H_ij^2   t = sum_i g_i^2
-    N  = n (n-1) (n-2) (n-3).
+    Q  = sum_i (row sum of D)^2   N  = n (n-1) (n-2) (n-3).
 
 Every kernel vanishes when i == j or k == l, so extending a sum over
 distinct quadruples to a free sum only adds tuples where the pairs {i, j}
@@ -46,8 +44,18 @@ and, for the inner-product kernel e = H_ik - H_il - H_jk + H_jl (free sum
 
     sum_distinct e^2 = 4 n^2 (W - t) - 12 n W + 2 S2.
 
-Dividing by 4N yields t1, t2, t3. The scalar reductions use math.fsum,
-whose result is exact and independent of accumulation order.
+Because the rows are centered, every row sum of H vanishes, so the sums
+over D close in T, t and W (D_ii = 0, so free sums equal sums over i != j):
+
+    S1 = 2 n T
+    row sum i of D = n g_i + T
+    S2 = 2 n t + 2 T^2 + 4 W
+    Q  = n^2 t + 3 n T^2.
+
+D is never formed. W = ||H||_F^2 equals ||Xc' Xc||_F^2, so the helper
+:func:`ellipkurt.linalg.centered_gram` takes whichever Gram matrix is
+smaller. Dividing by 4N yields t1, t2, t3. T, t and W are math.fsum
+reductions, whose result is exact and independent of accumulation order.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError, InvalidParameterError
+from .linalg import centered_gram, require_finite
 
 __all__ = [
     "UStats",
@@ -139,32 +148,25 @@ def ustats_bruteforce(X) -> UStats:
 
 
 def ustats_fast(X) -> UStats:
-    """O(n^2 p + n^2) evaluation via the centered-Gram reduction.
+    """O(n p min(n, p)) evaluation via the centered-Gram reduction.
 
     Agrees with :func:`ustats_bruteforce` to floating-point accuracy; the
-    module docstring derives the identities.
+    module docstring derives the identities. Raises
+    :class:`InvalidParameterError` when the data's scale overflows.
     """
     X = _as_data_matrix(X)
     n, p = X.shape
-    Xc = X - X.mean(axis=0)
-    H = Xc @ Xc.T
-    H = 0.5 * (H + H.T)
-    g = np.diag(H).copy()
-    D = g[:, None] + g[None, :] - 2.0 * H
-    np.fill_diagonal(D, 0.0)
-
-    S1 = math.fsum(D.ravel())
-    S2 = math.fsum((D * D).ravel())
-    row = D.sum(axis=1)
-    Q = math.fsum(row * row)
-    W = math.fsum((H * H).ravel())
-    t = math.fsum(g * g)
-
+    cg = centered_gram(X)
+    T, t, W = cg.T, cg.t, cg.W
+    S1 = 2.0 * n * T
+    S2 = 2.0 * n * t + 2.0 * T * T + 4.0 * W
+    Q = n * n * t + 3.0 * n * T * T
     N = float(n * (n - 1) * (n - 2) * (n - 3))
     pair_products = S1 * S1 - 4.0 * Q + 2.0 * S2
     t2 = pair_products / (4.0 * N)
     t1 = ((n - 2) * (n - 3) * S2 - pair_products) / (2.0 * N)
     t3 = (2.0 * n * n * (W - t) - 6.0 * n * W + S2) / (2.0 * N)
+    require_finite(t1, t2, t3)
     return UStats(t1=t1, t2=t2, t3=t3, n=n, p=p)
 
 

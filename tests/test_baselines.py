@@ -100,6 +100,18 @@ def test_wl_location_invariance():
     )
 
 
+@pytest.mark.parametrize("n, p", [(40, 6), (12, 12), (10, 45)])
+def test_wl_matches_covariance_reference(n, p):
+    # Both sides of the Gram choice against the p x p sample covariance.
+    rng = np.random.default_rng(n + p)
+    X = rng.standard_t(9, size=(n, p)) + 3.0
+    S = np.cov(X, rowvar=False)
+    g = ((X - X.mean(axis=0)) ** 2).sum(axis=1)
+    tr1, tr2 = np.trace(S), np.sum(S * S)
+    want = (np.var(g, ddof=1) + tr1**2) / (tr1**2 + 2.0 * tr2)
+    assert wl_theta(X) == pytest.approx(want, rel=1e-10)
+
+
 def test_wl_near_one_for_normal():
     p, n = 100, 100
     sigma = toeplitz_ar1(p, 0.5)

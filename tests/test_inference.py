@@ -166,6 +166,23 @@ def test_plugin_moments_location_invariance():
     assert abs(pm1.varphi_hat - pm2.varphi_hat) <= 1e-8 * abs(pm1.varphi_hat)
 
 
+@pytest.mark.parametrize("n, p", [(40, 6), (12, 12), (10, 45)])
+def test_plugin_moments_match_covariance_reference(n, p):
+    # Both sides of the Gram choice against the p x p sample covariance.
+    rng = np.random.default_rng(n * p)
+    X = rng.standard_t(9, size=(n, p)) + 3.0
+    S = np.cov(X, rowvar=False)
+    T1, T2, T3, T4 = (np.trace(np.linalg.matrix_power(S, k)) for k in (1, 2, 3, 4))
+    g = ((X - X.mean(axis=0)) ** 2).sum(axis=1)
+    den3 = T1**3 + 6 * T1 * T2 + 8 * T3
+    den4 = T1**4 + 12 * T1**2 * T2 + 12 * T2**2 + 32 * T1 * T3 + 48 * T4
+    pm = plugin_moments_case2(X)
+    assert pm.varrho_hat == pytest.approx(p * (p + 2) * (p + 4) * np.mean(g**3) / den3, rel=1e-10)
+    assert pm.varphi_hat == pytest.approx(
+        p * (p + 2) * (p + 4) * (p + 6) * np.mean(g**4) / den4, rel=1e-10
+    )
+
+
 def test_plugin_moments_theta_fields():
     X = sample_normal_data(50, 10, seed=53)
     pm = plugin_moments_case2(X, theta_hat=1.2)

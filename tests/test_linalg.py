@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from ellipkurt import (
     InvalidParameterError,
     NotPSDError,
-    gram,
     sqrt_psd,
     toeplitz_ar1,
     trace_powers,
 )
+from ellipkurt.linalg import centered_gram
 
 
 def test_toeplitz_single_entry():
@@ -133,27 +133,75 @@ def test_trace_powers_toeplitz_vs_naive():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_gram_identity_rows():
-    assert np.array_equal(gram(np.eye(4)), np.eye(4))
+def test_centered_gram_identity_rows():
+    # Centered rows of I_4 are e_i - 1/4; their Gram matrix is I - J/4.
+    cg = centered_gram(np.eye(4))
+    assert np.allclose(cg.M, np.eye(4) - 0.25, rtol=0.0, atol=1e-15)
+    assert np.allclose(cg.g, 0.75, rtol=0.0, atol=1e-15)
+    assert (cg.T, cg.t, cg.W) == pytest.approx((3.0, 2.25, 3.0), rel=1e-15)
 
 
-def test_gram_single_row():
-    r = np.array([[3.0, 4.0]])
-    assert np.array_equal(gram(r), np.array([[25.0]]))
+def test_centered_gram_single_row():
+    cg = centered_gram(np.array([[3.0, 4.0]]))
+    assert np.array_equal(cg.M, np.zeros((1, 1)))
+    assert np.array_equal(cg.g, np.zeros(1))
+    assert (cg.T, cg.t, cg.W) == (0.0, 0.0, 0.0)
 
 
-def test_gram_against_double_loop():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(5, 3))
-    G = gram(X)
-    for i in range(5):
-        for j in range(5):
-            assert G[i, j] == pytest.approx(float(X[i] @ X[j]), rel=1e-12, abs=1e-12)
+@pytest.mark.parametrize("n, p", [(7, 3), (5, 5), (4, 9)])
+def test_centered_gram_side_choice(n, p):
+    # Xc' Xc (p x p) when p < n, otherwise Xc Xc' (n x n); exactly symmetric.
+    rng = np.random.default_rng(n * 10 + p)
+    cg = centered_gram(rng.normal(size=(n, p)))
+    k = p if p < n else n
+    assert cg.M.shape == (k, k)
+    assert np.array_equal(cg.M, cg.M.T)
 
 
-def test_gram_rotation_invariance():
+@pytest.mark.parametrize("n, p", [(9, 3), (6, 6), (5, 11)])
+def test_centered_gram_against_double_loop(n, p):
+    rng = np.random.default_rng(3 + n + p)
+    X = rng.normal(size=(n, p)) + 5.0
+    mean = [math.fsum(X[:, c]) / n for c in range(p)]
+    rows = [[X[i, c] - mean[c] for c in range(p)] for i in range(n)]
+    H = [[math.fsum(a * b for a, b in zip(rows[i], rows[j])) for j in range(n)] for i in range(n)]
+    cg = centered_gram(X)
+    for i in range(n):
+        assert cg.g[i] == pytest.approx(H[i][i], rel=1e-12)
+    assert cg.T == pytest.approx(math.fsum(H[i][i] for i in range(n)), rel=1e-12)
+    assert cg.t == pytest.approx(math.fsum(H[i][i] ** 2 for i in range(n)), rel=1e-12)
+    assert cg.W == pytest.approx(math.fsum(h * h for r in H for h in r), rel=1e-12)
+    assert cg.T == pytest.approx(float(np.trace(cg.M)), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p", [(12, 4), (4, 12)])
+def test_centered_gram_trace_powers_match_other_side(n, p):
+    # Xc' Xc and Xc Xc' share their nonzero eigenvalues.
+    rng = np.random.default_rng(n * p)
+    X = rng.normal(size=(n, p))
+    Xc = X - X.mean(axis=0)
+    other = Xc @ Xc.T if p < n else Xc.T @ Xc
+    got = trace_powers(centered_gram(X).M).as_tuple()
+    want = trace_powers(0.5 * (other + other.T)).as_tuple()
+    for a, b in zip(got, want):
+        assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_centered_gram_invariances():
+    # g, T, t and W do not see a shift or a rotation of the rows.
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(6, 4))
-    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    diff = np.abs(gram(X @ Q) - gram(X)).max()
-    assert diff <= 1e-10
+    for n, p in ((6, 4), (4, 6)):
+        X = rng.normal(size=(n, p))
+        Q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        a = centered_gram(X)
+        for Y in (X @ Q, X + rng.normal(size=p) * 100):
+            b = centered_gram(Y)
+            assert np.allclose(b.g, a.g, rtol=1e-10, atol=0.0)
+            assert (b.T, b.t, b.W) == pytest.approx((a.T, a.t, a.W), rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_centered_gram_overflow_is_typed(scale):
+    X = np.random.default_rng(12).normal(size=(6, 3)) * scale
+    with pytest.raises(InvalidParameterError):
+        centered_gram(X)

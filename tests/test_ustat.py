@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ellipkurt import (
     DegenerateDataError,
+    EllipkurtError,
     InsufficientSampleError,
     InvalidParameterError,
     UStats,
@@ -13,8 +14,10 @@ from ellipkurt import (
     sample_sphere,
     theta_hat,
     ustats,
+    plugin_moments_case2,
     ustats_bruteforce,
     ustats_fast,
+    wl_theta,
 )
 
 
@@ -73,6 +76,18 @@ def test_fast_equals_bruteforce_random_instances():
         # inner-product statistic, a sum of squares, cannot go negative.
         assert u.t2 > 0.0
         assert u.t3 >= 0.0
+
+
+@pytest.mark.parametrize("n, p", [(8, 7), (8, 8), (8, 9), (6, 200), (16, 2), (16, 17), (5, 1)])
+def test_fast_equals_bruteforce_both_gram_sides(n, p):
+    # p < n reduces through the p x p Gram matrix and p >= n through the
+    # n x n one: p straddles n, and p >> n and n >> p reach both extremes.
+    rng = np.random.default_rng(1000 * n + p)
+    for k, offset in enumerate((0.0, 50.0, 1e3)):
+        law = make_law(("normal", "kotz", "t", "laplace")[(n + p + k) % 4], p)
+        xi = np.sqrt(law.sample_squared(rng, n))
+        X = xi[:, None] * sample_sphere(p, rng, n) + offset * rng.normal(size=p)
+        assert max_rel_diff(ustats_fast(X), ustats_bruteforce(X)) <= 1e-10
 
 
 def test_insufficient_sample():
@@ -136,6 +151,25 @@ def test_orthogonal_invariance():
         a = estimate_kurtosis(X).theta_hat
         b = estimate_kurtosis(X @ Q).theta_hat
         assert rel_diff(a, b) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e100, 1e150])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda X: estimate_kurtosis(X).theta_hat,
+        wl_theta,
+        lambda X: plugin_moments_case2(X).varphi_hat,
+    ],
+    ids=["estimate_kurtosis", "wl_theta", "plugin_moments_case2"],
+)
+def test_extreme_scales_give_finite_or_typed_error(entry, scale):
+    X = np.random.default_rng(204).normal(size=(30, 8)) * scale
+    try:
+        value = entry(X)
+    except EllipkurtError:
+        return
+    assert np.isfinite(value)
 
 
 def test_row_permutation_invariance():

@@ -30,7 +30,7 @@ import numpy as np
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
 from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import toeplitz_ar1
+from .linalg import AR1
 from .models import EllipticalSpec, XiLaw, make_law, sample_data, true_theta
 from .ustat import theta_hat, ustats_fast
 
@@ -171,10 +171,13 @@ def _run_cell(cfg: ExperimentConfig, rep_fn, workers: int) -> list:
         return list(pool.map(rep_fn, indices))
 
 
-def _estimation_rep(cfg, p, spec, chol, fam_code):
-    mu = spec.mu
-    sigma = spec.sigma
+def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:
+    """The model of cell (family, p): zero location, AR(1) covariance with
+    ``cfg.rho``, never formed as a matrix, and the family's radius law."""
+    return EllipticalSpec.create(np.zeros(p), AR1(p, cfg.rho), _resolve_law(cfg, p))
 
+
+def _estimation_rep(cfg, p, spec, fam_code):
     def run(rep: int) -> dict[str, float | None]:
         rng = replication_rng(cfg.seed, fam_code, p, rep)
         out: dict[str, float | None] = {}
@@ -187,7 +190,7 @@ def _estimation_rep(cfg, p, spec, chol, fam_code):
                 if m == "theta_hat":
                     out[m] = theta_hat(ustats_fast(X)).theta_hat
                 elif m == "oracle":
-                    out[m] = oracle_theta(X, mu, sigma, chol=chol)
+                    out[m] = oracle_theta(X, spec.mu, spec.sigma)
                 elif m == "wl_plugin":
                     out[m] = wl_theta(X)
             except EllipkurtError:
@@ -203,11 +206,8 @@ def run_estimation_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[S
     fam_code = _family_code(cfg)
     rows: list[SummaryRow] = []
     for p in cfg.p_list:
-        law = _resolve_law(cfg, p)
-        sigma = toeplitz_ar1(p, cfg.rho)
-        spec = EllipticalSpec.create(np.zeros(p), sigma, law)
-        chol = np.linalg.cholesky(sigma) if "oracle" in cfg.methods else None
-        results = _run_cell(cfg, _estimation_rep(cfg, p, spec, chol, fam_code), workers)
+        spec = _cell_spec(cfg, p)
+        results = _run_cell(cfg, _estimation_rep(cfg, p, spec, fam_code), workers)
         for m in cfg.methods:
             values = [r[m] for r in results if r[m] is not None]
             mean, sd = _mean_sd(values)
@@ -270,10 +270,8 @@ def run_coverage_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[Sum
     fam_code = _family_code(cfg)
     rows: list[SummaryRow] = []
     for p in cfg.p_list:
-        law = _resolve_law(cfg, p)
-        sigma = toeplitz_ar1(p, cfg.rho)
-        spec = EllipticalSpec.create(np.zeros(p), sigma, law)
-        theta0 = true_theta(law)
+        spec = _cell_spec(cfg, p)
+        theta0 = true_theta(spec.xi)
         results = _run_cell(cfg, _coverage_rep(cfg, p, spec, fam_code), workers)
         for m in cfg.ci_methods:
             oks = [r[m] for r in results if r[m] is not None]

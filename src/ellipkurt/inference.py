@@ -38,7 +38,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedDofError,
 )
-from .linalg import centered_gram, exact_sum, require_finite, trace_powers
+from .linalg import centered_gram, exact_sum, require_finite, require_normal, trace_powers
 from .ustat import KurtosisEstimate
 
 __all__ = [
@@ -167,20 +167,25 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
     cg = centered_gram(X)
     tp = trace_powers(cg.M)
     x_max = float(np.max(np.abs(X)))
-    if tp.t1 <= 1e-12 * max(1.0, x_max * x_max):
+    # Relative to the data's own scale (offset included), never absolute.
+    if tp.t1 <= 1e-12 * x_max * x_max:
         raise DegenerateDataError("sample covariance is numerically zero")
     # Trace powers of the sample covariance, scaled by (n - 1)^-k.
     c = float(n - 1)
     t1, t2, t3, t4 = tp.t1 / c, tp.t2 / c**2, tp.t3 / c**3, tp.t4 / c**4
-    m3 = exact_sum(cg.g**3) / n
-    m4 = exact_sum(cg.g**4) / n
+    # An overflow shows as inf and raises through exact_sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m3 = exact_sum(cg.g**3) / n
+        m4 = exact_sum(cg.g**4) / n
     # Products, not float **, so an overflow gives inf instead of raising.
     sq = t1 * t1
     den3 = sq * t1 + 6.0 * t1 * t2 + 8.0 * t3
     den4 = sq * sq + 12.0 * sq * t2 + 12.0 * t2 * t2 + 32.0 * t1 * t3 + 48.0 * t4
+    require_finite(den3, den4)
+    require_normal(m3, m4, den3, den4)
     varrho = p * (p + 2) * (p + 4) * m3 / den3
     varphi = p * (p + 2) * (p + 4) * (p + 6) * m4 / den4
-    require_finite(den3, den4, varrho, varphi)
+    require_finite(varrho, varphi)
     if theta_hat is None:
         return PlugInMoments(varrho_hat=varrho, varphi_hat=varphi)
     d_n = dof_hat(theta_hat) if theta_hat > 1.0 else None

@@ -1,24 +1,34 @@
-"""Dense symmetric-matrix utilities.
+"""Covariance objects and symmetric-matrix utilities.
 
-Covariance construction, PSD square roots, trace powers, and the centered
-Gram summary of a data matrix (:func:`centered_gram`), which is the only
-place in the package that centers data or forms a Gram product. Everything
-is dense: the simulation settings top out around p = 1600, well within
-dense-eigendecomposition territory.
+A covariance object has a dimension ``p`` and two row-wise maps with a
+factor L of the covariance (L L' = sigma): ``apply_root(Z)`` maps each row
+z to L z and ``whiten(Y)`` maps each row y to L^{-1} y. :class:`AR1` does
+both in O(n p) from the closed-form Cholesky factor of the AR(1) matrix;
+:class:`Dense` wraps any symmetric matrix, sampling with its symmetric
+square root and whitening with its Cholesky factor. Also here: PSD square
+roots, trace powers, and the centered Gram summary of a data matrix
+(:func:`centered_gram`), which is the only place in the package that
+centers data or forms a Gram product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_banded, solve_triangular
 
-from .errors import InvalidParameterError, NotPSDError
+from .errors import InvalidParameterError, NotPSDError, SingularMatrixError
 
 # Eigenvalues below -PSD_CLAMP_TOL * ||M||_2 mean the input is not PSD;
 # anything in (-tol * ||M||_2, 0) is treated as rounding noise and clamped.
 PSD_CLAMP_TOL = 1e-8
+
+# Smallest positive normal double: fourth powers of the data below it
+# carry subnormal rounding, so results built from them are not trusted.
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -56,10 +66,18 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _check_ar1(p: int, rho: float) -> None:
+    if p < 1:
+        raise InvalidParameterError(f"p must be >= 1, got {p}")
+    if not abs(rho) < 1:
+        raise InvalidParameterError(f"|rho| must be < 1, got {rho}")
+
+
 def toeplitz_ar1(p: int, rho: float) -> np.ndarray:
     """AR(1) Toeplitz covariance: entry (j, k) equals rho**|j - k|.
 
-    Positive definite for |rho| < 1.
+    Positive definite for |rho| < 1. :class:`AR1` is the same covariance
+    without the p x p matrix.
 
     Parameters
     ----------
@@ -68,12 +86,106 @@ def toeplitz_ar1(p: int, rho: float) -> np.ndarray:
     rho : float
         Off-diagonal decay, must satisfy |rho| < 1.
     """
-    if p < 1:
-        raise InvalidParameterError(f"p must be >= 1, got {p}")
-    if not abs(rho) < 1:
-        raise InvalidParameterError(f"|rho| must be < 1, got {rho}")
+    _check_ar1(p, rho)
     idx = np.arange(p)
     return float(rho) ** np.abs(np.subtract.outer(idx, idx)).astype(float)
+
+
+@dataclass(frozen=True)
+class AR1:
+    """The AR(1) covariance rho**|j - k| of :func:`toeplitz_ar1`, never formed.
+
+    Its Cholesky factor L is the AR(1) recursion with unit marginal
+    variance: x = L z has x_0 = z_0 and x_j = rho x_{j-1} + s z_j with
+    s = sqrt(1 - rho^2), so L^{-1} is lower bidiagonal. Both maps cost
+    O(n p) for n rows.
+    """
+
+    p: int
+    rho: float
+
+    def __post_init__(self):
+        _check_ar1(self.p, self.rho)
+
+    def apply_root(self, Z) -> np.ndarray:
+        """Rows z of Z mapped to L z.
+
+        Solves B x = (z_0, s z_1, ..., s z_{p-1}), where B = diag(1, s, ..., s)
+        L^{-1} is unit lower bidiagonal with subdiagonal -rho. Its LU
+        factorization needs no pivoting, so the banded solve is exactly the
+        recursion.
+        """
+        Z = np.asarray(Z, dtype=float)
+        rho = float(self.rho)
+        ab = np.ones((2, self.p))
+        ab[1] = -rho
+        rhs = Z.T * math.sqrt(1.0 - rho * rho)
+        rhs[0] = Z[:, 0]
+        X = solve_banded((1, 0), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        return X.T
+
+    def whiten(self, Y) -> np.ndarray:
+        """Rows y of Y mapped to L^{-1} y: y_0, then (y_j - rho y_{j-1}) / s."""
+        Y = np.asarray(Y, dtype=float)
+        rho = float(self.rho)
+        out = np.empty_like(Y)
+        out[:, 0] = Y[:, 0]
+        np.subtract(Y[:, 1:], rho * Y[:, :-1], out=out[:, 1:])
+        out[:, 1:] /= math.sqrt(1.0 - rho * rho)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class Dense:
+    """A user-supplied covariance matrix with lazily computed factors.
+
+    ``apply_root`` uses the symmetric square root (:func:`sqrt_psd`) and
+    ``whiten`` the lower Cholesky factor; each is computed on first use
+    and kept. The two maps use different factors, which is harmless: a
+    sphere draw u is rotation invariant, and the Mahalanobis norm of
+    R u is that of L u.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", check_symmetric(self.matrix, "sigma"))
+
+    @property
+    def p(self) -> int:
+        return self.matrix.shape[0]
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Symmetric PSD square root; raises :class:`NotPSDError`."""
+        return sqrt_psd(self.matrix)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor; raises :class:`SingularMatrixError`."""
+        try:
+            return np.linalg.cholesky(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"sigma is not positive definite: {exc}") from exc
+
+    def apply_root(self, Z) -> np.ndarray:
+        """Rows z of Z mapped to R z with R the symmetric root."""
+        return Z @ self.root
+
+    def whiten(self, Y) -> np.ndarray:
+        """Rows y of Y mapped to L^{-1} y with L the Cholesky factor.
+
+        Finiteness of Y is the caller's contract; the solve skips the scan.
+        """
+        return solve_triangular(self.chol, np.asarray(Y, dtype=float).T, lower=True,
+                                check_finite=False).T
+
+
+def as_covariance(sigma) -> AR1 | Dense:
+    """A covariance object for ``sigma``: an :class:`AR1` or :class:`Dense`
+    passes through, anything else is wrapped as a dense matrix."""
+    return sigma if isinstance(sigma, (AR1, Dense)) else Dense(sigma)
 
 
 def sqrt_psd(M) -> np.ndarray:
@@ -106,13 +218,15 @@ def trace_powers(M) -> TracePowers:
     powers.
     """
     M = check_symmetric(M)
-    S = M @ M
-    return TracePowers(
-        t1=float(np.trace(M)),
-        t2=float(np.trace(S)),
-        t3=float(np.sum(M * S)),
-        t4=float(np.sum(S * S)),
-    )
+    # An overflow shows as inf and is the caller's to report (require_finite).
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = M @ M
+        return TracePowers(
+            t1=float(np.trace(M)),
+            t2=float(np.trace(S)),
+            t3=float(np.sum(M * S)),
+            t4=float(np.sum(S * S)),
+        )
 
 
 @dataclass(frozen=True)
@@ -131,6 +245,20 @@ class CenteredGram:
     T: float
     t: float
     W: float
+
+
+def require_normal(*values: float) -> None:
+    """Raise :class:`InvalidParameterError` when a positive power of the
+    data underflows, i.e. is below the smallest normal double.
+
+    Subnormal values have lost relative precision, so a ratio built from
+    them would be returned silently wrong.
+    """
+    if min(values) < TINY:
+        raise InvalidParameterError(
+            "statistic underflows: a power of the data's scale is below the "
+            "smallest normal double"
+        )
 
 
 def require_finite(*values: float) -> None:
@@ -162,14 +290,28 @@ def exact_sum(a) -> float:
 def centered_gram(X) -> CenteredGram:
     """Center the rows of X and summarize their Gram matrix.
 
-    Costs O(n p min(n, p)). M is exactly symmetric. Raises
-    :class:`InvalidParameterError` when T, t or W overflows.
+    Costs O(n p min(n, p)). M is exactly symmetric. The rows are shifted by
+    the first row before the column mean is taken out, which is the same
+    in exact arithmetic and keeps the rounding relative to the spread of
+    the rows, so a degeneracy test can be relative too. Raises
+    :class:`InvalidParameterError` when T, t or W overflows, or when the
+    centered data are not all zero but t underflows (W >= t, so W is then
+    normal too).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise InvalidParameterError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
     n, p = X.shape
-    Xc = X - X.mean(axis=0)
-    g = np.einsum("ij,ij->i", Xc, Xc)
-    M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
-    return CenteredGram(g=g, M=M, T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
+    # An overflow shows as inf and raises through exact_sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Shifting by the first row first (exact for nearby values) makes the
+        # rounding of the centered rows relative to their spread, not to the
+        # offset: identical rows center to exact zeros at any scale.
+        Xc = X - X[0]
+        Xc -= Xc.mean(axis=0)
+        g = np.einsum("ij,ij->i", Xc, Xc)
+        M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
+        cg = CenteredGram(g=g, M=M, T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
+    if np.any(Xc):
+        require_normal(cg.t)
+    return cg

@@ -1,9 +1,13 @@
 """Generative samplers for the elliptical location-scale model.
 
-A sample row is  x = mu + xi * (S @ u)  where S is the symmetric square
-root of the covariance, u is uniform on the unit sphere and xi >= 0 is an
-independent radius. All shipped squared-radius laws are normalized so that
-E xi^2 = p, the identifiability convention used throughout the package.
+A sample row is  x = mu + xi * (A @ u)  where A is a root of the
+covariance (A A' = sigma), u is uniform on the unit sphere and xi >= 0 is
+an independent radius. The covariance object chooses A: the closed-form
+Cholesky factor for AR(1) (:class:`ellipkurt.linalg.AR1`, O(p) per row)
+and the symmetric square root for a dense matrix. Every root gives the
+same law, because u is rotation invariant. All shipped squared-radius laws
+are normalized so that E xi^2 = p, the identifiability convention used
+throughout the package.
 
 Four families are provided, named after the multivariate distribution they
 induce:
@@ -28,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidParameterError
-from .linalg import check_symmetric, sqrt_psd
+from .linalg import AR1, Dense, as_covariance
 
 __all__ = [
     "XiLaw",
@@ -183,21 +187,23 @@ def true_theta(law: XiLaw) -> float:
 class EllipticalSpec:
     """Generative description of an elliptical model.
 
-    Holds the location, the covariance, its cached symmetric square root
-    and the squared-radius law. Build via :meth:`create`, which computes
-    and validates the square root.
+    Holds the location, the covariance object ``sigma`` and the
+    squared-radius law. Sampling goes through ``sigma.apply_root``. Build
+    via :meth:`create`.
     """
 
     mu: np.ndarray
-    sigma: np.ndarray
-    sigma_sqrt: np.ndarray
+    sigma: AR1 | Dense
     xi: XiLaw
 
     @classmethod
     def create(cls, mu, sigma, xi: XiLaw) -> "EllipticalSpec":
-        sigma = check_symmetric(sigma, "sigma")
+        """``sigma`` is a covariance object or a symmetric matrix. A matrix
+        becomes :class:`ellipkurt.linalg.Dense` and its symmetric root is
+        computed here, so a matrix that is not PSD fails at creation."""
+        cov = as_covariance(sigma)
         mu = np.asarray(mu, dtype=float).reshape(-1)
-        p = sigma.shape[0]
+        p = cov.p
         if mu.shape[0] != p:
             raise InvalidParameterError(
                 f"mu has length {mu.shape[0]} but sigma is {p} x {p}"
@@ -206,11 +212,13 @@ class EllipticalSpec:
             raise InvalidParameterError(
                 f"xi law has dimension {xi.p} but sigma is {p} x {p}"
             )
-        return cls(mu=mu, sigma=sigma, sigma_sqrt=sqrt_psd(sigma), xi=xi)
+        if isinstance(cov, Dense):
+            cov.root  # factor now, so a non-PSD matrix fails here
+        return cls(mu=mu, sigma=cov, xi=xi)
 
     @property
     def p(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.p
 
 
 def sample_sphere(p: int, rng: np.random.Generator, size: int | None = None):
@@ -248,4 +256,4 @@ def sample_data(spec: EllipticalSpec, n: int, rng: np.random.Generator) -> np.nd
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     xi = sample_xi(spec.xi, rng, n)
     U = sample_sphere(spec.p, rng, n)
-    return spec.mu + np.asarray(xi)[:, None] * (U @ spec.sigma_sqrt)
+    return spec.mu + np.asarray(xi)[:, None] * spec.sigma.apply_root(U)

@@ -79,8 +79,9 @@ __all__ = [
     "estimate_kurtosis",
 ]
 
-# Denominators below DEGENERACY_RTOL * max(|t1|, t2, 1) are treated as
-# exact degeneracy (all rows coincident) rather than a small estimate.
+# Denominators below DEGENERACY_RTOL * max(|t1|, t2) are treated as exact
+# degeneracy (all rows coincident) rather than a small estimate. The floor
+# is relative, so it is blind to the data's scale.
 DEGENERACY_RTOL = 1e-12
 
 
@@ -186,12 +187,12 @@ def ustats(X, method: str = "fast") -> UStats:
 def theta_hat(u: UStats) -> KurtosisEstimate:
     """Kurtosis estimate (t1 + t2 - 2 t3) / (t2 + 2 t3).
 
-    Raises :class:`DegenerateDataError` when the denominator is below
-    DEGENERACY_RTOL * max(|t1|, t2, 1), which happens exactly when all
+    Raises :class:`DegenerateDataError` when the denominator is at most
+    DEGENERACY_RTOL * max(|t1|, t2), which happens exactly when all
     observations (nearly) coincide.
     """
     den = u.t2 + 2.0 * u.t3
-    if den <= DEGENERACY_RTOL * max(abs(u.t1), u.t2, 1.0):
+    if den <= DEGENERACY_RTOL * max(abs(u.t1), u.t2):
         raise DegenerateDataError(
             "denominator t2 + 2 t3 is numerically zero; data are degenerate"
         )

@@ -1,17 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from ellipkurt import (
     ChiSquared,
     DegenerateDataError,
     EllipticalSpec,
+    InvalidParameterError,
     SingularMatrixError,
+    make_law,
     oracle_theta,
     sample_data,
     sample_sphere,
     toeplitz_ar1,
     wl_theta,
 )
+from ellipkurt.linalg import AR1, Dense
 
 
 class ConstantRadius:
@@ -51,16 +57,38 @@ def test_oracle_affine_invariance():
     assert b == pytest.approx(a, rel=1e-8)
 
 
-def test_oracle_precomputed_cholesky():
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+@pytest.mark.parametrize("p", [1, 2, 17, 400])
+def test_oracle_ar1_matches_dense(p, rho):
+    # The AR(1) object whitens with its bidiagonal inverse factor, the dense
+    # matrix with a triangular solve; both are the same Mahalanobis norms.
+    rng = np.random.default_rng(p)
+    spec = EllipticalSpec.create(np.zeros(p), AR1(p, rho), make_law("t", p))
+    mu = rng.normal(size=p)
+    X = sample_data(spec, 30, rng) + mu
+    a = oracle_theta(X, mu, AR1(p, rho))
+    b = oracle_theta(X, mu, toeplitz_ar1(p, rho))
+    assert a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def test_oracle_dense_matches_cholesky_solve():
+    # A dense matrix keeps the triangular-solve result bit for bit.
     rng = np.random.default_rng(2)
-    p = 5
-    sigma = toeplitz_ar1(p, 0.5)
-    spec = EllipticalSpec.create(np.zeros(p), sigma, ChiSquared(p=p))
-    X = sample_data(spec, 30, rng)
-    chol = np.linalg.cholesky(sigma)
-    assert oracle_theta(X, np.zeros(p), sigma) == pytest.approx(
-        oracle_theta(X, np.zeros(p), None, chol=chol), rel=1e-14
-    )
+    p, n = 7, 30
+    A = rng.normal(size=(p, p))
+    sigma = A @ A.T + np.eye(p)
+    X = rng.normal(size=(n, p))
+    mu = rng.normal(size=p)
+    Y = solve_triangular(np.linalg.cholesky(sigma), (X - mu).T, lower=True)
+    q = np.einsum("ij,ij->j", Y, Y)
+    assert oracle_theta(X, mu, sigma) == math.fsum(q * q) / (n * p * (p + 2))
+    assert oracle_theta(X, mu, Dense(sigma)) == oracle_theta(X, mu, sigma)
+
+
+def test_oracle_dimension_mismatch():
+    X = np.random.default_rng(3).normal(size=(10, 3))
+    with pytest.raises(InvalidParameterError):
+        oracle_theta(X, np.zeros(3), AR1(4, 0.5))
 
 
 def test_oracle_singular_sigma():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ellipkurt import estimate_kurtosis
+from ellipkurt import CSV_HEADER, estimate_kurtosis
 from ellipkurt.cli import main, read_csv_matrix
 from ellipkurt.errors import CsvParseError
 
@@ -171,3 +171,28 @@ def test_validate_ustat_quick(capsys):
     out = capsys.readouterr().out
     assert "ustat differential" in out
     assert "all checks passed" in out
+
+
+@pytest.mark.filterwarnings("ignore:aggregate over a single replication")
+@pytest.mark.parametrize(
+    "preset, csv_name", [("table1-desk", "estimation.csv"), ("table2-desk", "coverage.csv")]
+)
+def test_simulate_preset_end_to_end(tmp_path, capsys, preset, csv_name):
+    # The full desk grid at 2 replications: 4 families x 5 dimensions x
+    # 3 methods, reproducible by seed and independent of the worker count.
+    def run(name, *extra):
+        out_dir = tmp_path / name
+        args = ["simulate", "--preset", preset, "--reps", "2", "--seed", "11",
+                "--out-dir", str(out_dir), *extra]
+        assert main(args) == 0
+        return (out_dir / csv_name).read_bytes()
+
+    first = run("a")
+    lines = first.decode("utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 60
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert int(fields[8]) + int(fields[9]) == 2
+    assert run("b") == first
+    assert run("c", "--workers", "2") == first

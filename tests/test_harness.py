@@ -18,9 +18,8 @@ from ellipkurt import (
     run_estimation_experiment,
     summarize_to_csv,
 )
-from ellipkurt.harness import _estimation_rep, _family_code
-from ellipkurt.linalg import toeplitz_ar1
-from ellipkurt.models import EllipticalSpec, make_law
+from ellipkurt import linalg
+from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code
 
 
 class ZeroRadius:
@@ -103,11 +102,9 @@ def test_replication_results_independent_of_total_reps():
     cfg5 = small_config(reps=5, methods=("theta_hat", "wl_plugin"))
     cfg8 = small_config(reps=8, methods=("theta_hat", "wl_plugin"))
     p = 10
-    law = make_law("normal", p)
-    spec = EllipticalSpec.create(np.zeros(p), toeplitz_ar1(p, 0.5), law)
     code = _family_code(cfg5)
-    run5 = _estimation_rep(cfg5, p, spec, None, code)
-    run8 = _estimation_rep(cfg8, p, spec, None, code)
+    run5 = _estimation_rep(cfg5, p, _cell_spec(cfg5, p), code)
+    run8 = _estimation_rep(cfg8, p, _cell_spec(cfg8, p), code)
     for rep in range(5):
         assert run5(rep) == run8(rep)
 
@@ -244,8 +241,25 @@ def test_mean_aggregation_matches_fsum():
     cfg = small_config(reps=5, methods=("theta_hat",), p_list=(10,))
     rows = run_estimation_experiment(cfg)
     code = _family_code(cfg)
-    law = make_law("normal", 10)
-    spec = EllipticalSpec.create(np.zeros(10), toeplitz_ar1(10, 0.5), law)
-    run = _estimation_rep(cfg, 10, spec, None, code)
+    run = _estimation_rep(cfg, 10, _cell_spec(cfg, 10), code)
     values = [run(r)["theta_hat"] for r in range(5)]
     assert rows[0].mean == pytest.approx(math.fsum(values) / 5, abs=0.0)
+
+
+def test_ar1_cells_use_no_dense_factorization(monkeypatch):
+    # The AR(1) cells sample and whiten in closed form: no eigendecomposition,
+    # no Cholesky factor, no triangular solve, no p x p matrix.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense factorization called on an AR(1) cell")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(linalg, "sqrt_psd", forbidden)
+    monkeypatch.setattr(linalg, "solve_triangular", forbidden)
+    monkeypatch.setattr(linalg, "toeplitz_ar1", forbidden)
+    cfg = small_config(reps=3)
+    assert isinstance(_cell_spec(cfg, 10).sigma, linalg.AR1)
+    # A forbidden call raises AssertionError, which no replication catches.
+    assert all(r.reps_used > 0 for r in run_estimation_experiment(cfg))
+    cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
+    assert all(r.reps_used > 0 for r in run_coverage_experiment(cfg))

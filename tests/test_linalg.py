@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ellipkurt import (
     toeplitz_ar1,
     trace_powers,
 )
-from ellipkurt.linalg import centered_gram
+from ellipkurt.linalg import AR1, Dense, as_covariance, centered_gram
 
 
 def test_toeplitz_single_entry():
@@ -205,3 +206,66 @@ def test_centered_gram_overflow_is_typed(scale):
     X = np.random.default_rng(12).normal(size=(6, 3)) * scale
     with pytest.raises(InvalidParameterError):
         centered_gram(X)
+
+
+def rel_norm(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+@pytest.mark.parametrize("p", [1, 2, 3, 17, 1600])
+def test_ar1_root_is_dense_cholesky(p, rho):
+    # Differential against the Cholesky factor of the p x p matrix.
+    rng = np.random.default_rng(p)
+    Z = rng.normal(size=(9, p))
+    cov = AR1(p, rho)
+    X = cov.apply_root(Z)
+    assert X.shape == Z.shape
+    assert rel_norm(X, Z @ np.linalg.cholesky(toeplitz_ar1(p, rho)).T) <= 1e-12
+    assert rel_norm(cov.whiten(X), Z) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.inf, np.nan])
+def test_ar1_invalid_rho(rho):
+    with pytest.raises(InvalidParameterError):
+        AR1(5, rho)
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_ar1_invalid_p(p):
+    with pytest.raises(InvalidParameterError):
+        AR1(p, 0.5)
+
+
+def test_dense_maps_use_symmetric_root_and_cholesky():
+    rng = np.random.default_rng(13)
+    M = toeplitz_ar1(6, 0.3)
+    Z = rng.normal(size=(4, 6))
+    cov = Dense(M)
+    assert np.array_equal(cov.apply_root(Z), Z @ sqrt_psd(M))
+    assert rel_norm(cov.chol @ cov.whiten(Z).T, Z.T) <= 1e-12
+    assert as_covariance(cov) is cov
+    assert isinstance(as_covariance(M), Dense)
+    with pytest.raises(NotPSDError):
+        Dense(np.diag([1.0, -0.5])).apply_root(Z[:, :2])
+
+
+@pytest.mark.parametrize("scale", [1e50, 1e100, 1e200])
+def test_overflow_raises_without_numpy_warnings(scale):
+    # The typed error is the only signal; numpy prints nothing to stderr.
+    X = np.random.default_rng(14).normal(size=(6, 3)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cg = centered_gram(X)
+            trace_powers(cg.M)
+        except InvalidParameterError:
+            pass
+        trace_powers(np.diag([scale, 1.0]))
+
+
+def test_centered_gram_underflow_is_typed():
+    X = np.random.default_rng(15).normal(size=(6, 3))
+    centered_gram(X * 2.0**-200)
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        centered_gram(X * 2.0**-300)

@@ -144,7 +144,8 @@ def test_spec_dimension_checks():
 def test_spec_caches_valid_sqrt():
     sigma = toeplitz_ar1(6, 0.5)
     spec = EllipticalSpec.create(np.zeros(6), sigma, ChiSquared(p=6))
-    err = np.linalg.norm(spec.sigma_sqrt @ spec.sigma_sqrt - sigma) / np.linalg.norm(sigma)
+    root = spec.sigma.root
+    err = np.linalg.norm(root @ root - sigma) / np.linalg.norm(sigma)
     assert err <= 1e-8
 
 

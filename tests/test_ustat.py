@@ -172,6 +172,49 @@ def test_extreme_scales_give_finite_or_typed_error(entry, scale):
     assert np.isfinite(value)
 
 
+def test_scale_by_power_of_two_leaves_estimates_unchanged():
+    # The degeneracy floors are relative: normal data at 2^-34 (about 5.8e-11)
+    # once raised DegenerateDataError through an absolute floor of 1.
+    X = np.random.default_rng(205).normal(size=(50, 10))
+    theta, wl, pm = estimate_kurtosis(X).theta_hat, wl_theta(X), plugin_moments_case2(X)
+    for k in range(-200, 201):
+        Y = X * 2.0**k
+        assert estimate_kurtosis(Y).theta_hat == pytest.approx(theta, rel=1e-12, abs=0.0), k
+        assert wl_theta(Y) == pytest.approx(wl, rel=1e-12, abs=0.0), k
+        if abs(k) <= 100:
+            b = plugin_moments_case2(Y)
+            assert b.varrho_hat == pytest.approx(pm.varrho_hat, rel=1e-12, abs=0.0), k
+            assert b.varphi_hat == pytest.approx(pm.varphi_hat, rel=1e-12, abs=0.0), k
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [estimate_kurtosis, wl_theta, plugin_moments_case2],
+    ids=["estimate_kurtosis", "wl_theta", "plugin_moments_case2"],
+)
+def test_underflowing_powers_raise_typed_error(entry):
+    # Fourth (eighth) powers below the smallest normal double are refused,
+    # not turned into a ratio of subnormals.
+    X = np.random.default_rng(206).normal(size=(50, 10))
+    k = -140 if entry is plugin_moments_case2 else -270
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        entry(X * 2.0**k)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-20, 1.0, 1e20, 1e60])
+@pytest.mark.parametrize(
+    "entry",
+    [estimate_kurtosis, wl_theta, plugin_moments_case2],
+    ids=["estimate_kurtosis", "wl_theta", "plugin_moments_case2"],
+)
+def test_identical_rows_stay_degenerate_at_any_scale(entry, scale):
+    # 0.1 is inexact, so the column mean of identical rows need not equal
+    # the rows; the floors must not mistake that rounding for spread.
+    X = np.tile(np.array([0.1, -2.0, 0.5]), (8, 1)) * scale
+    with pytest.raises(DegenerateDataError):
+        entry(X)
+
+
 def test_row_permutation_invariance():
     rng = np.random.default_rng(203)
     X = rng.normal(size=(10, 3))

@@ -53,16 +53,15 @@ def wl_theta(X) -> float:
 
     theta ~= (var ||X - Xbar||^2 + tr^2 S) / (tr^2 S + 2 tr S^2) with S the
     sample covariance (divisor n - 1, no bias correction) and the variance
-    taken with divisor n - 1. tr S and tr S^2 come from the centered Gram
-    summary, so the cost is O(n p min(n, p)).
+    taken with divisor n - 1. ``X`` is the data matrix or its centered Gram
+    summary (:func:`ellipkurt.linalg.centered_gram`), which gives
+    ||X_i - Xbar||^2, tr S and tr S^2; building it costs O(n p min(n, p)),
+    and given the summary the rest is O(n).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise InsufficientSampleError(
-            f"need at least 2 observations, got shape {X.shape}"
-        )
-    n = X.shape[0]
     cg = centered_gram(X)
+    n = cg.n
+    if n < 2:
+        raise InsufficientSampleError(f"need at least 2 observations, got {n}")
     tr1 = cg.T / (n - 1)
     tr2 = cg.W / (n - 1) ** 2
     den = tr1 * tr1 + 2.0 * tr2

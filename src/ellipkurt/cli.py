@@ -36,7 +36,7 @@ from .harness import (
     summarize_to_csv,
 )
 from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import toeplitz_ar1
+from .linalg import centered_gram, toeplitz_ar1
 from .models import make_law, sample_sphere
 from .moments import (
     sphere_moment_1,
@@ -92,7 +92,8 @@ def read_csv_matrix(path) -> np.ndarray:
 
 def cmd_estimate(args) -> int:
     X = read_csv_matrix(args.input)
-    est = theta_hat(ustats_fast(X))
+    cg = centered_gram(X)
+    est = theta_hat(ustats_fast(cg))
     u = est.ustats
     print(f"n        {u.n}")
     print(f"p        {u.p}")
@@ -111,7 +112,7 @@ def cmd_estimate(args) -> int:
         plugin = None
         if "case2" in methods:
             try:
-                plugin = plugin_moments_case2(X, theta_hat=est.theta_hat)
+                plugin = plugin_moments_case2(cg, theta_hat=est.theta_hat)
             except EllipkurtError as exc:
                 if args.ci != "all":
                     raise

@@ -30,7 +30,7 @@ import numpy as np
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
 from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import AR1
+from .linalg import AR1, _check_ar1, centered_gram
 from .models import EllipticalSpec, XiLaw, make_law, sample_data, true_theta
 from .ustat import theta_hat, ustats_fast
 
@@ -96,6 +96,8 @@ class ExperimentConfig:
             )
         for m in self.ci_methods:
             CiMethod(m)
+        for p in self.p_list:
+            _check_ar1(p, self.rho)
 
     @property
     def family_name(self) -> str:
@@ -185,14 +187,20 @@ def _estimation_rep(cfg, p, spec, fam_code):
             X = sample_data(spec, cfg.n, rng)
         except EllipkurtError:
             return {m: None for m in cfg.methods}
+        # The first statistic that reads the centered Gram summary builds it
+        # from X and the next one reuses it; the oracle reads X itself, so it
+        # still runs when the summary fails.
+        cg = X
         for m in cfg.methods:
             try:
-                if m == "theta_hat":
-                    out[m] = theta_hat(ustats_fast(X)).theta_hat
-                elif m == "oracle":
+                if m == "oracle":
                     out[m] = oracle_theta(X, spec.mu, spec.sigma)
+                    continue
+                cg = centered_gram(cg)
+                if m == "theta_hat":
+                    out[m] = theta_hat(ustats_fast(cg)).theta_hat
                 elif m == "wl_plugin":
-                    out[m] = wl_theta(X)
+                    out[m] = wl_theta(cg)
             except EllipkurtError:
                 out[m] = None
         return out
@@ -236,23 +244,20 @@ def _coverage_rep(cfg, p, spec, fam_code):
         rng = replication_rng(cfg.seed, fam_code, p, rep)
         try:
             X = sample_data(spec, cfg.n, rng)
-            est = theta_hat(ustats_fast(X))
+            cg = centered_gram(X)
+            est = theta_hat(ustats_fast(cg))
         except EllipkurtError:
             return {m: None for m in cfg.ci_methods}
         plugin = None
         if need_plugin:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    plugin = plugin_moments_case2(X)
+                plugin = plugin_moments_case2(cg)
             except EllipkurtError:
                 plugin = None
         out = {}
         for m in cfg.ci_methods:
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    ci = confidence_interval(est, m, cfg.alpha, plugin=plugin)
+                ci = confidence_interval(est, m, cfg.alpha, plugin=plugin)
                 out[m] = (est.theta_hat, ci.lower, ci.upper)
             except EllipkurtError:
                 out[m] = None

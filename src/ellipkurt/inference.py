@@ -18,13 +18,15 @@ with a method-specific asymptotic scale sigma_hat:
 * ``laplace`` : exponential-mixture family; the limit distribution has
   variance 4, so sigma_hat = 2.
 * ``case2``   : generic heavy-tail plug-in using sixth- and eighth-moment
-  ratio estimates from the sample (see :func:`plugin_moments_case2`).
+  ratio estimates from the sample (see :func:`plugin_moments_case2`). They
+  read the same centered Gram summary as the estimate itself, so a caller
+  builds it once per sample (:func:`ellipkurt.linalg.centered_gram`) and
+  passes it to both.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -151,24 +153,21 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
 
     where m_k is the k-th power sum (1/n) sum_i ||X_i - Xbar||^{2k} and
     T, T2, T3, T4 are the first four trace powers of the sample covariance
-    (divisor n - 1). Trace powers come from the smaller Gram matrix of the
-    centered data (see :func:`ellipkurt.linalg.centered_gram`), so the cost
-    is O(n p min(n, p) + min(n, p)^3).
+    (divisor n - 1). ``X`` is the data matrix or its centered Gram summary
+    (:func:`ellipkurt.linalg.centered_gram`); the trace powers come from its
+    smaller Gram matrix, so the cost is O(n p min(n, p) + min(n, p)^3), of
+    which the summary is the first term.
 
     When ``theta_hat`` is given the kurtosis-derived plug-ins (tau, delta,
     degrees of freedom) are filled in as well.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise InsufficientSampleError(
-            f"need at least 2 observations for sample moments, got shape {X.shape}"
-        )
-    n, p = X.shape
     cg = centered_gram(X)
+    n, p = cg.n, cg.p
+    if n < 2:
+        raise InsufficientSampleError(f"need at least 2 observations for sample moments, got {n}")
     tp = trace_powers(cg.M)
-    x_max = float(np.max(np.abs(X)))
     # Relative to the data's own scale (offset included), never absolute.
-    if tp.t1 <= 1e-12 * x_max * x_max:
+    if tp.t1 <= 1e-12 * cg.x_max * cg.x_max:
         raise DegenerateDataError("sample covariance is numerically zero")
     # Trace powers of the sample covariance, scaled by (n - 1)^-k.
     c = float(n - 1)
@@ -203,19 +202,13 @@ def sigma2_case2(theta_hat: float, pm: PlugInMoments, p: int) -> float:
 
     varphi/p^4 - A^2 - 4 (varrho/p^3) A + 4 A^3 with A = (p + 2) theta_hat / p.
     A negative plug-in value is a finite-sample artifact near the Gaussian
-    boundary; it is clamped to zero with a warning so simulation sweeps
-    degenerate to a point interval instead of aborting.
+    boundary; it is clamped to 0.0, so simulation sweeps degenerate to a
+    point interval instead of aborting. The clamp is reported as data, not
+    as a warning: the interval's ``sigma_hat`` is 0.
     """
     A = (p + 2) * theta_hat / p
     out = pm.varphi_hat / p**4 - A * A - 4.0 * (pm.varrho_hat / p**3) * A + 4.0 * A**3
-    if out < 0.0:
-        warnings.warn(
-            "plug-in asymptotic variance came out negative; clamping to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return out
+    return max(out, 0.0)
 
 
 def _half_width_scale(est: KurtosisEstimate, method: CiMethod, plugin) -> float:

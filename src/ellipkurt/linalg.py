@@ -8,7 +8,10 @@ both in O(n p) from the closed-form Cholesky factor of the AR(1) matrix;
 square root and whitening with its Cholesky factor. Also here: PSD square
 roots, trace powers, and the centered Gram summary of a data matrix
 (:func:`centered_gram`), which is the only place in the package that
-centers data or forms a Gram product.
+centers data or forms a Gram product. The summary is built once per
+sample and handed to every statistic that reads it (``ustats_fast``,
+``wl_theta``, ``plugin_moments_case2``); each of them also accepts the raw
+data and then builds it itself.
 """
 
 from __future__ import annotations
@@ -231,15 +234,20 @@ def trace_powers(M) -> TracePowers:
 
 @dataclass(frozen=True)
 class CenteredGram:
-    """Scalars of the rows of X centered by the column mean.
+    """Scalars of the rows of an n x p matrix X centered by the column mean.
 
     ``g`` holds the squared centered row norms and ``M`` the smaller of the
     two Gram matrices, Xc' Xc (p x p) when p < n and Xc Xc' (n x n)
     otherwise; both share their nonzero eigenvalues, so every trace power
     of M is that of either side. T = sum g_i = tr M, t = sum g_i^2 and
-    W = ||M||_F^2 are exact sums (:func:`exact_sum`).
+    W = ||M||_F^2 are exact sums (:func:`exact_sum`). ``x_max`` = max |X|
+    is the absolute scale of the raw data, offset included, for
+    degeneracy floors relative to it.
     """
 
+    n: int
+    p: int
+    x_max: float
     g: np.ndarray
     M: np.ndarray
     T: float
@@ -287,8 +295,38 @@ def exact_sum(a) -> float:
     return out
 
 
+def as_data_matrix(X) -> np.ndarray:
+    """X as a float matrix, checked to be 2-d with at least one row and
+    finite; raises :class:`InvalidParameterError` otherwise."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise InvalidParameterError(f"data must be a nonempty 2-d matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidParameterError("data contains non-finite values")
+    return X
+
+
+def frobenius_sq(M) -> float:
+    """||M||_F^2 of an exactly symmetric M, summed over one triangle.
+
+    The diagonal squares and the doubled squares above the diagonal are one
+    :func:`exact_sum`. Doubling is exact and fsum is correctly rounded, so
+    the result is bit for bit ``exact_sum(M * M)``, at half the terms.
+    """
+    M = np.asarray(M, dtype=float)
+    # An overflow shows as inf and raises through exact_sum.
+    with np.errstate(over="ignore"):
+        upper = M[np.triu_indices(M.shape[0], 1)]
+        return exact_sum(np.concatenate((np.diagonal(M) ** 2, 2.0 * (upper * upper))))
+
+
 def centered_gram(X) -> CenteredGram:
     """Center the rows of X and summarize their Gram matrix.
+
+    A :class:`CenteredGram` is returned as it is, so a statistic can take
+    either the data or their summary, and the caller that holds the sample
+    builds the summary once for all of them. Raw data are checked by
+    :func:`as_data_matrix`.
 
     Costs O(n p min(n, p)). M is exactly symmetric. The rows are shifted by
     the first row before the column mean is taken out, which is the same
@@ -298,9 +336,9 @@ def centered_gram(X) -> CenteredGram:
     centered data are not all zero but t underflows (W >= t, so W is then
     normal too).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise InvalidParameterError(f"X must be a nonempty 2-d matrix, got shape {X.shape}")
+    if isinstance(X, CenteredGram):
+        return X
+    X = as_data_matrix(X)
     n, p = X.shape
     # An overflow shows as inf and raises through exact_sum.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,7 +349,8 @@ def centered_gram(X) -> CenteredGram:
         Xc -= Xc.mean(axis=0)
         g = np.einsum("ij,ij->i", Xc, Xc)
         M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
-        cg = CenteredGram(g=g, M=M, T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
+        cg = CenteredGram(n=n, p=p, x_max=float(np.max(np.abs(X))), g=g, M=M,
+                          T=exact_sum(g), t=exact_sum(g * g), W=frobenius_sq(M))
     if np.any(Xc):
         require_normal(cg.t)
     return cg

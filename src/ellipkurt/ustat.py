@@ -56,6 +56,11 @@ D is never formed. W = ||H||_F^2 equals ||Xc' Xc||_F^2, so the helper
 :func:`ellipkurt.linalg.centered_gram` takes whichever Gram matrix is
 smaller. Dividing by 4N yields t1, t2, t3. T, t and W are math.fsum
 reductions, whose result is exact and independent of accumulation order.
+
+The same summary (T, t, W, g and the Gram matrix) is what the plug-in
+baselines and the case-2 moment ratios read, so a caller holding a sample
+builds it once with ``centered_gram(X)`` and passes that object to
+:func:`ustats_fast` and to them; given raw data, each builds it itself.
 """
 
 from __future__ import annotations
@@ -64,10 +69,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateDataError, InsufficientSampleError, InvalidParameterError
-from .linalg import centered_gram, require_finite
+from .linalg import as_data_matrix, centered_gram, require_finite
 
 __all__ = [
     "UStats",
@@ -104,17 +107,11 @@ class KurtosisEstimate:
     ustats: UStats
 
 
-def _as_data_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise InvalidParameterError(f"data must be a 2-d matrix, got shape {X.shape}")
-    if X.shape[0] < 4:
+def _require_fourth_order(n: int) -> None:
+    if n < 4:
         raise InsufficientSampleError(
-            f"need at least 4 observations for fourth-order statistics, got {X.shape[0]}"
+            f"need at least 4 observations for fourth-order statistics, got {n}"
         )
-    if not np.all(np.isfinite(X)):
-        raise InvalidParameterError("data contains non-finite values")
-    return X
 
 
 def ustats_bruteforce(X) -> UStats:
@@ -124,8 +121,9 @@ def ustats_bruteforce(X) -> UStats:
     no intermediate quantities with the fast path. Use for differential
     testing and small-sample verification only.
     """
-    X = _as_data_matrix(X)
+    X = as_data_matrix(X)
     n, p = X.shape
+    _require_fourth_order(n)
     acc1 = []
     acc2 = []
     acc3 = []
@@ -151,13 +149,15 @@ def ustats_bruteforce(X) -> UStats:
 def ustats_fast(X) -> UStats:
     """O(n p min(n, p)) evaluation via the centered-Gram reduction.
 
-    Agrees with :func:`ustats_bruteforce` to floating-point accuracy; the
-    module docstring derives the identities. Raises
+    ``X`` is the data matrix or its :class:`ellipkurt.linalg.CenteredGram`
+    summary; both give the same floats. Agrees with
+    :func:`ustats_bruteforce` to floating-point accuracy; the module
+    docstring derives the identities. Raises
     :class:`InvalidParameterError` when the data's scale overflows.
     """
-    X = _as_data_matrix(X)
-    n, p = X.shape
     cg = centered_gram(X)
+    n = cg.n
+    _require_fourth_order(n)
     T, t, W = cg.T, cg.t, cg.W
     S1 = 2.0 * n * T
     S2 = 2.0 * n * t + 2.0 * T * T + 4.0 * W
@@ -168,14 +168,15 @@ def ustats_fast(X) -> UStats:
     t1 = ((n - 2) * (n - 3) * S2 - pair_products) / (2.0 * N)
     t3 = (2.0 * n * n * (W - t) - 6.0 * n * W + S2) / (2.0 * N)
     require_finite(t1, t2, t3)
-    return UStats(t1=t1, t2=t2, t3=t3, n=n, p=p)
+    return UStats(t1=t1, t2=t2, t3=t3, n=n, p=cg.p)
 
 
 def ustats(X, method: str = "fast") -> UStats:
     """Dispatch between the fast path and the reference path.
 
-    ``method="reference"`` selects the O(n^4 p) brute force; anything the
-    production code consumes goes through ``method="fast"``.
+    ``method="reference"`` selects the O(n^4 p) brute force, which takes
+    the data matrix only; anything the production code consumes goes
+    through ``method="fast"``, which also takes its centered Gram summary.
     """
     if method == "fast":
         return ustats_fast(X)

@@ -56,7 +56,7 @@ def test_estimate_matches_library(tmp_path, capsys):
     assert float(theta_line.split()[1]) == float(f"{est.theta_hat:.10g}")
 
 
-def test_estimate_all_intervals(tmp_path, capsys):
+def test_estimate_all_intervals(tmp_path, capsys, gram_builds):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 4)) + np.array([5.0, 4.0, 3.0, 2.0])
     path = tmp_path / "iris_like.csv"
@@ -64,8 +64,10 @@ def test_estimate_all_intervals(tmp_path, capsys):
     assert main(["estimate", "--input", str(path), "--ci", "all"]) == 0
     out = capsys.readouterr().out
     assert "case1" in out
-    assert "case2" in out
+    assert "case2    [" in out
     assert "example1" in out
+    # theta_hat and the case-2 plug-ins read one summary of the data.
+    assert gram_builds == [(50, 4)]
 
 
 def test_estimate_writes_csv_reports(tmp_path, capsys):
@@ -154,6 +156,18 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "nope": 1}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_simulate_config_bad_rho_exit_2(tmp_path, capsys, dry_run):
+    # An invalid AR(1) coefficient is a config error before any cell runs.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "n": 16, "rho": 1.5}))
+    out_dir = tmp_path / "res"
+    args = ["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    assert "rho" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_simulate_without_source_exit_2(capsys):

@@ -65,6 +65,8 @@ def test_config_validation():
         ExperimentConfig(family="normal", p_list=(10,), methods=("bogus",))
     with pytest.raises(ValueError):
         ExperimentConfig(family="normal", p_list=(10,), ci_methods=("bogus",))
+    with pytest.raises(InvalidParameterError, match="rho"):
+        ExperimentConfig(family="normal", p_list=(10,), rho=1.5)
 
 
 def test_replication_rng_independent_of_order():
@@ -263,3 +265,16 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     assert all(r.reps_used > 0 for r in run_estimation_experiment(cfg))
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
     assert all(r.reps_used > 0 for r in run_coverage_experiment(cfg))
+
+
+def test_one_gram_summary_per_replication(gram_builds):
+    # Every statistic of a replication reads the one summary built from its
+    # sample: theta_hat and wl_plugin in the estimation loop, theta_hat and
+    # the case-2 plug-ins in the coverage loop.
+    cfg = small_config(reps=3)
+    run_estimation_experiment(cfg)
+    assert gram_builds == [(cfg.n, p) for p in cfg.p_list for _ in range(cfg.reps)]
+    gram_builds.clear()
+    cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
+    run_coverage_experiment(cfg)
+    assert gram_builds == [(cfg.n, p) for p in cfg.p_list for _ in range(cfg.reps)]

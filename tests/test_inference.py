@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,11 +122,14 @@ def test_sigma2_case2_normal_population_values():
 
 def test_sigma2_case2_clamps_negative():
     # An inflated sixth-moment ratio with a zeroed eighth moment drives the
-    # plug-in below zero.
+    # plug-in below zero. The clamp is silent and shows as sigma_hat == 0.
     pm = PlugInMoments(varrho_hat=10.0 * 100**3, varphi_hat=0.0)
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         s2 = sigma2_case2(1.0, pm, 100)
+        ci = confidence_interval(make_estimate(theta=1.0), "case2", plugin=pm)
     assert s2 == 0.0
+    assert ci.sigma_hat == 0.0 and ci.width == 0.0
 
 
 def sample_normal_data(n, p, seed):

@@ -13,7 +13,7 @@ from ellipkurt import (
     toeplitz_ar1,
     trace_powers,
 )
-from ellipkurt.linalg import AR1, Dense, as_covariance, centered_gram
+from ellipkurt.linalg import AR1, Dense, as_covariance, centered_gram, exact_sum, frobenius_sq
 
 
 def test_toeplitz_single_entry():
@@ -153,10 +153,16 @@ def test_centered_gram_single_row():
 def test_centered_gram_side_choice(n, p):
     # Xc' Xc (p x p) when p < n, otherwise Xc Xc' (n x n); exactly symmetric.
     rng = np.random.default_rng(n * 10 + p)
-    cg = centered_gram(rng.normal(size=(n, p)))
+    X = rng.normal(size=(n, p))
+    cg = centered_gram(X)
     k = p if p < n else n
     assert cg.M.shape == (k, k)
     assert np.array_equal(cg.M, cg.M.T)
+    assert cg.W == exact_sum(cg.M * cg.M)
+    # Plain ints, so the shape reads like the data's; a summary passes through.
+    assert (type(cg.n), type(cg.p), cg.n, cg.p) == (int, int, n, p)
+    assert cg.x_max == np.max(np.abs(X))
+    assert centered_gram(cg) is cg
 
 
 @pytest.mark.parametrize("n, p", [(9, 3), (6, 6), (5, 11)])
@@ -206,6 +212,48 @@ def test_centered_gram_overflow_is_typed(scale):
     X = np.random.default_rng(12).normal(size=(6, 3)) * scale
     with pytest.raises(InvalidParameterError):
         centered_gram(X)
+
+
+@pytest.mark.parametrize(
+    "X", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 1.0]]),
+          np.array([[1.0], [-np.inf]]), np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))],
+    ids=["nan", "inf", "-inf", "1-d", "empty", "3-d"],
+)
+def test_centered_gram_rejects_non_finite_and_non_matrix(X):
+    with pytest.raises(InvalidParameterError):
+        centered_gram(X)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 100])
+def test_frobenius_sq_is_the_full_sum(k):
+    # The triangle sum is exact_sum(M * M) bit for bit, and overflows exactly
+    # when it does: from subnormal squares up to and past the overflow edge.
+    A = np.random.default_rng(k).normal(size=(k, k))
+    M0 = A + A.T
+    W0 = exact_sum(M0 * M0)
+    big = float(np.finfo(float).max)
+    edge = [math.sqrt(f * big) / math.sqrt(W0) for f in (0.5, 0.999999, 1.000001, 2.0)]
+    for scale in [1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150] + edge:
+        M = M0 * scale
+        with np.errstate(over="ignore"):
+            full = M * M
+        try:
+            want = exact_sum(full)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                frobenius_sq(M)
+        else:
+            assert frobenius_sq(M) == want
+    # A single doubled off-diagonal square crosses the edge with the full sum.
+    for a in (math.sqrt(big / 2), math.sqrt(big / 2) * (1 + 2**-40)):
+        M = np.array([[0.0, a], [a, 0.0]])
+        try:
+            want = exact_sum(M * M)
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError):
+                frobenius_sq(M)
+        else:
+            assert frobenius_sq(M) == want
 
 
 def rel_norm(a, b):

@@ -19,6 +19,7 @@ from ellipkurt import (
     ustats_fast,
     wl_theta,
 )
+from ellipkurt.linalg import centered_gram
 
 
 def rel_diff(a, b):
@@ -87,7 +88,14 @@ def test_fast_equals_bruteforce_both_gram_sides(n, p):
         law = make_law(("normal", "kotz", "t", "laplace")[(n + p + k) % 4], p)
         xi = np.sqrt(law.sample_squared(rng, n))
         X = xi[:, None] * sample_sphere(p, rng, n) + offset * rng.normal(size=p)
-        assert max_rel_diff(ustats_fast(X), ustats_bruteforce(X)) <= 1e-10
+        fast = ustats_fast(X)
+        assert (fast.n, fast.p) == (n, p)
+        assert max_rel_diff(fast, ustats_bruteforce(X)) <= 1e-10
+        # Each statistic gives the same floats on the data and on their summary.
+        cg = centered_gram(X)
+        assert ustats_fast(cg) == fast
+        assert wl_theta(cg) == wl_theta(X)
+        assert plugin_moments_case2(cg, 1.2) == plugin_moments_case2(X, 1.2)
 
 
 def test_insufficient_sample():
@@ -95,6 +103,14 @@ def test_insufficient_sample():
     for f in (ustats_bruteforce, ustats_fast):
         with pytest.raises(InsufficientSampleError):
             f(X)
+
+
+@pytest.mark.parametrize("f", [ustats_bruteforce, ustats_fast])
+def test_non_finite_data_rejected(f):
+    X = np.ones((5, 2))
+    X[3, 1] = np.nan
+    with pytest.raises(InvalidParameterError, match="data contains non-finite"):
+        f(X)
 
 
 def test_dispatcher():

@@ -17,6 +17,7 @@ the corresponding library call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CsvParseError, EllipkurtError, SchemaError
+from .errors import CsvParseError, EllipkurtError, InvalidParameterError, SchemaError
 from .harness import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -150,29 +151,33 @@ def cmd_estimate(args) -> int:
 
 
 def _configs_from_args(args) -> list[ExperimentConfig]:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        configs = [cfg]
-    elif args.preset == "table1-desk":
-        configs = preset_table1_desk(seed=args.seed)
-    elif args.preset == "table2-desk":
-        configs = preset_table2_desk(seed=args.seed)
-    elif args.family is not None:
-        configs = [
-            ExperimentConfig(
-                family=args.family,
-                p_list=tuple(args.p) if args.p else (100,),
-                n=args.n,
-                alpha=args.alpha,
-                seed=args.seed,
-                ci_methods=tuple(args.ci_method or ()),
-            )
-        ]
-    else:
-        raise SchemaError("simulate needs --config, --preset, or --family")
-    if args.reps is not None:
-        for cfg in configs:
-            cfg.reps = args.reps
+    """The configs a simulate call runs. Every config, ``--reps`` included,
+    goes through ``ExperimentConfig`` validation; a value it rejects is a
+    usage error (:class:`SchemaError`)."""
+    try:
+        if args.config is not None:
+            configs = [load_config(args.config)]
+        elif args.preset == "table1-desk":
+            configs = preset_table1_desk(seed=args.seed)
+        elif args.preset == "table2-desk":
+            configs = preset_table2_desk(seed=args.seed)
+        elif args.family is not None:
+            configs = [
+                ExperimentConfig(
+                    family=args.family,
+                    p_list=tuple(args.p) if args.p else (100,),
+                    n=args.n,
+                    alpha=args.alpha,
+                    seed=args.seed,
+                    ci_methods=tuple(args.ci_method or ()),
+                )
+            ]
+        else:
+            raise SchemaError("simulate needs --config, --preset, or --family")
+        if args.reps is not None:
+            configs = [dataclasses.replace(cfg, reps=args.reps) for cfg in configs]
+    except InvalidParameterError as exc:
+        raise SchemaError(f"invalid simulate options: {exc}") from exc
     return configs
 
 

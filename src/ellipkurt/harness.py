@@ -51,6 +51,7 @@ __all__ = [
 DEFAULT_SEED = 20240811
 
 ESTIMATOR_NAMES = ("theta_hat", "oracle", "wl_plugin")
+_CI_NAMES = tuple(m.value for m in CiMethod)
 
 # Fixed codes keep substreams stable across runs; unknown families hash.
 _FAMILY_CODES = {"normal": 0, "kotz": 1, "t": 2, "laplace": 3}
@@ -94,8 +95,11 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"unknown estimator methods {unknown}; expected subset of {ESTIMATOR_NAMES}"
             )
-        for m in self.ci_methods:
-            CiMethod(m)
+        unknown = [m for m in self.ci_methods if m not in _CI_NAMES]
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown ci methods {unknown}; expected subset of {_CI_NAMES}"
+            )
         for p in self.p_list:
             _check_ar1(p, self.rho)
 

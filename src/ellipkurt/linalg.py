@@ -2,26 +2,31 @@
 
 A covariance object has a dimension ``p`` and two row-wise maps with a
 factor L of the covariance (L L' = sigma): ``apply_root(Z)`` maps each row
-z to L z and ``whiten(Y)`` maps each row y to L^{-1} y. :class:`AR1` does
-both in O(n p) from the closed-form Cholesky factor of the AR(1) matrix;
-:class:`Dense` wraps any symmetric matrix, sampling with its symmetric
-square root and whitening with its Cholesky factor. Also here: PSD square
-roots, trace powers, and the centered Gram summary of a data matrix
-(:func:`centered_gram`), which is the only place in the package that
-centers data or forms a Gram product. The summary is built once per
-sample and handed to every statistic that reads it (``ustats_fast``,
-``wl_theta``, ``plugin_moments_case2``); each of them also accepts the raw
-data and then builds it itself.
+z to L z and ``whiten(Y)`` maps each row y to L^{-1} y. Both return a new
+array and leave their input as it is, so a caller may scale and shift the
+result in place. :class:`AR1` does both in O(n p) from the closed-form
+Cholesky factor of the AR(1) matrix: the root is one LAPACK
+triangular-banded solve (``dtbtrs``) of the unit lower-bidiagonal
+recursion, the whitening one subtraction. :class:`Dense` wraps any
+symmetric matrix, sampling with its symmetric square root and whitening
+with its Cholesky factor. Also here: PSD square roots, trace powers, and
+the centered Gram summary of a data matrix (:func:`centered_gram`), which
+is the only place in the package that centers data or forms a Gram
+product. The summary is built once per sample and handed to every
+statistic that reads it (``ustats_fast``, ``wl_theta``,
+``plugin_moments_case2``); each of them also accepts the raw data and then
+builds it itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import InvalidParameterError, NotPSDError, SingularMatrixError
 
@@ -100,8 +105,9 @@ class AR1:
 
     Its Cholesky factor L is the AR(1) recursion with unit marginal
     variance: x = L z has x_0 = z_0 and x_j = rho x_{j-1} + s z_j with
-    s = sqrt(1 - rho^2), so L^{-1} is lower bidiagonal. Both maps cost
-    O(n p) for n rows.
+    s = sqrt(1 - rho^2), so L^{-1} is lower bidiagonal. ``apply_root`` runs
+    the recursion as a triangular-banded solve with no factorization, and
+    ``whiten`` applies the bidiagonal inverse; both cost O(n p) for n rows.
     """
 
     p: int
@@ -114,9 +120,10 @@ class AR1:
         """Rows z of Z mapped to L z.
 
         Solves B x = (z_0, s z_1, ..., s z_{p-1}), where B = diag(1, s, ..., s)
-        L^{-1} is unit lower bidiagonal with subdiagonal -rho. Its LU
-        factorization needs no pivoting, so the banded solve is exactly the
-        recursion.
+        L^{-1} is unit lower bidiagonal with subdiagonal -rho, by forward
+        substitution (LAPACK ``dtbtrs``): x_j = rhs_j + rho x_{j-1}, one
+        contiguous column of the F-ordered right-hand side Z' at a time.
+        The BLAS kernel may fuse that multiply-add.
         """
         Z = np.asarray(Z, dtype=float)
         rho = float(self.rho)
@@ -124,8 +131,9 @@ class AR1:
         ab[1] = -rho
         rhs = Z.T * math.sqrt(1.0 - rho * rho)
         rhs[0] = Z[:, 0]
-        X = solve_banded((1, 0), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+        X, info = dtbtrs(ab, rhs, uplo="L", trans="N", diag="U", overwrite_b=1)
+        if info != 0:
+            raise InvalidParameterError(f"AR(1) root: LAPACK dtbtrs returned info={info}")
         return X.T
 
     def whiten(self, Y) -> np.ndarray:
@@ -134,8 +142,10 @@ class AR1:
         rho = float(self.rho)
         out = np.empty_like(Y)
         out[:, 0] = Y[:, 0]
-        np.subtract(Y[:, 1:], rho * Y[:, :-1], out=out[:, 1:])
-        out[:, 1:] /= math.sqrt(1.0 - rho * rho)
+        tail = out[:, 1:]
+        np.multiply(Y[:, :-1], rho, out=tail)
+        np.subtract(Y[:, 1:], tail, out=tail)
+        tail /= math.sqrt(1.0 - rho * rho)
         return out
 
 
@@ -295,15 +305,30 @@ def exact_sum(a) -> float:
     return out
 
 
-def as_data_matrix(X) -> np.ndarray:
-    """X as a float matrix, checked to be 2-d with at least one row and
-    finite; raises :class:`InvalidParameterError` otherwise."""
+def as_data_matrix(X) -> tuple[np.ndarray, float]:
+    """X as a float matrix and its scale max |X|.
+
+    X is checked to be 2-d with at least one row and one column and to be
+    finite; raises :class:`InvalidParameterError` otherwise. One max and
+    one min reduction do both: NaN and infinities propagate through them.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise InvalidParameterError(f"data must be a nonempty 2-d matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    hi, lo = float(X.max()), float(X.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidParameterError("data contains non-finite values")
-    return X
+    # max(hi, -lo) is max |X| except that it can be -0.0; abs makes it 0.0.
+    return X, abs(max(hi, -lo))
+
+
+@lru_cache(maxsize=8)
+def _upper_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the strict upper triangle of a k x k matrix."""
+    rows, cols = np.triu_indices(k, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def frobenius_sq(M) -> float:
@@ -316,7 +341,7 @@ def frobenius_sq(M) -> float:
     M = np.asarray(M, dtype=float)
     # An overflow shows as inf and raises through exact_sum.
     with np.errstate(over="ignore"):
-        upper = M[np.triu_indices(M.shape[0], 1)]
+        upper = M[_upper_indices(M.shape[0])]
         return exact_sum(np.concatenate((np.diagonal(M) ** 2, 2.0 * (upper * upper))))
 
 
@@ -338,7 +363,7 @@ def centered_gram(X) -> CenteredGram:
     """
     if isinstance(X, CenteredGram):
         return X
-    X = as_data_matrix(X)
+    X, x_max = as_data_matrix(X)
     n, p = X.shape
     # An overflow shows as inf and raises through exact_sum.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -349,7 +374,7 @@ def centered_gram(X) -> CenteredGram:
         Xc -= Xc.mean(axis=0)
         g = np.einsum("ij,ij->i", Xc, Xc)
         M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
-        cg = CenteredGram(n=n, p=p, x_max=float(np.max(np.abs(X))), g=g, M=M,
+        cg = CenteredGram(n=n, p=p, x_max=x_max, g=g, M=M,
                           T=exact_sum(g), t=exact_sum(g * g), W=frobenius_sq(M))
     if np.any(Xc):
         require_normal(cg.t)

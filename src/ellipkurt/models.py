@@ -237,8 +237,8 @@ def sample_sphere(p: int, rng: np.random.Generator, size: int | None = None):
         bad = norms == 0.0
         Z[bad] = rng.normal(size=(int(bad.sum()), p))
         norms = np.linalg.norm(Z, axis=1)
-    U = Z / norms[:, None]
-    return U[0] if size is None else U
+    Z /= norms[:, None]
+    return Z[0] if size is None else Z
 
 
 def sample_xi(law: XiLaw, rng: np.random.Generator, size: int | None = None):
@@ -250,10 +250,14 @@ def sample_data(spec: EllipticalSpec, n: int, rng: np.random.Generator) -> np.nd
     """Draw an (n, p) data matrix of independent rows from the model.
 
     Draw order is fixed for reproducibility: all n radii first, then the
-    n sphere directions.
+    n sphere directions. The radius and the location are applied in place
+    on the new array that ``apply_root`` returns, in the order of
+    mu + xi * (A @ u), so no n x p temporary is made.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     xi = sample_xi(spec.xi, rng, n)
-    U = sample_sphere(spec.p, rng, n)
-    return spec.mu + np.asarray(xi)[:, None] * spec.sigma.apply_root(U)
+    X = spec.sigma.apply_root(sample_sphere(spec.p, rng, n))
+    X *= xi[:, None]
+    X += spec.mu
+    return X

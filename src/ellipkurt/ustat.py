@@ -121,7 +121,7 @@ def ustats_bruteforce(X) -> UStats:
     no intermediate quantities with the fast path. Use for differential
     testing and small-sample verification only.
     """
-    X = as_data_matrix(X)
+    X, _ = as_data_matrix(X)
     n, p = X.shape
     _require_fourth_order(n)
     acc1 = []

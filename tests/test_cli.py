@@ -170,6 +170,33 @@ def test_simulate_config_bad_rho_exit_2(tmp_path, capsys, dry_run):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_simulate_config_unknown_ci_method_exit_2(tmp_path, capsys, dry_run):
+    # An unknown interval method is a config error, not a traceback.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "n": 16,
+                                    "ci_methods": ["bogus"]}))
+    out_dir = tmp_path / "res"
+    args = ["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("source", [["--family", "normal", "--p", "8", "--n", "16"],
+                                    ["--preset", "table1-desk"]], ids=["family", "preset"])
+@pytest.mark.parametrize("reps, dry_run", [("0", False), ("-3", True), ("0", True)])
+def test_simulate_bad_reps_exit_2(tmp_path, capsys, source, reps, dry_run):
+    # --reps overrides a validated config and is validated like it.
+    out_dir = tmp_path / "res"
+    args = ["simulate", *source, "--reps", reps, "--out-dir", str(out_dir)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    captured = capsys.readouterr()
+    assert "reps must be >= 1" in captured.err
+    assert "planned grid" not in captured.out
+    assert not out_dir.exists()
+
+
 def test_simulate_without_source_exit_2(capsys):
     assert main(["simulate"]) == 2
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ellipkurt import (
     CSV_HEADER,
@@ -63,7 +64,7 @@ def test_config_validation():
         ExperimentConfig(family="normal", p_list=(10,), alpha=1.2)
     with pytest.raises(InvalidParameterError):
         ExperimentConfig(family="normal", p_list=(10,), methods=("bogus",))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentConfig(family="normal", p_list=(10,), ci_methods=("bogus",))
     with pytest.raises(InvalidParameterError, match="rho"):
         ExperimentConfig(family="normal", p_list=(10,), rho=1.5)
@@ -259,6 +260,9 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     monkeypatch.setattr(linalg, "sqrt_psd", forbidden)
     monkeypatch.setattr(linalg, "solve_triangular", forbidden)
     monkeypatch.setattr(linalg, "toeplitz_ar1", forbidden)
+    # The AR(1) root is a triangular-banded solve, not a banded LU.
+    monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)
+    monkeypatch.setattr(linalg, "solve_banded", forbidden, raising=False)
     cfg = small_config(reps=3)
     assert isinstance(_cell_spec(cfg, 10).sigma, linalg.AR1)
     # A forbidden call raises AssertionError, which no replication catches.

@@ -13,7 +13,15 @@ from ellipkurt import (
     toeplitz_ar1,
     trace_powers,
 )
-from ellipkurt.linalg import AR1, Dense, as_covariance, centered_gram, exact_sum, frobenius_sq
+from ellipkurt.linalg import (
+    AR1,
+    Dense,
+    as_covariance,
+    as_data_matrix,
+    centered_gram,
+    exact_sum,
+    frobenius_sq,
+)
 
 
 def test_toeplitz_single_entry():
@@ -216,12 +224,31 @@ def test_centered_gram_overflow_is_typed(scale):
 
 @pytest.mark.parametrize(
     "X", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 1.0]]),
-          np.array([[1.0], [-np.inf]]), np.ones(3), np.ones((0, 3)), np.ones((2, 2, 2))],
-    ids=["nan", "inf", "-inf", "1-d", "empty", "3-d"],
+          np.array([[1.0], [-np.inf]]), np.array([[np.nan, np.inf], [-np.inf, 2.0]]),
+          np.array([[np.inf, -np.inf]]), np.ones(3), np.ones((0, 3)), np.ones((3, 0)),
+          np.ones((2, 2, 2))],
+    ids=["nan", "inf", "-inf", "mixed", "+-inf", "1-d", "empty", "no-columns", "3-d"],
 )
 def test_centered_gram_rejects_non_finite_and_non_matrix(X):
-    with pytest.raises(InvalidParameterError):
-        centered_gram(X)
+    # The typed error is the only signal: no numpy warning of any kind.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in (as_data_matrix, centered_gram):
+            with pytest.raises(InvalidParameterError):
+                check(X)
+
+
+@pytest.mark.parametrize(
+    "kind", ["normal", "all-negative", "offset", "negative-offset", "zeros", "negative-zeros"]
+)
+def test_x_max_is_max_abs_bit_for_bit(kind):
+    X = np.random.default_rng(14).normal(size=(6, 4))
+    X = {"normal": X, "all-negative": -np.abs(X) - 1e-3, "offset": X + 1e6,
+         "negative-offset": X - 3e8, "zeros": np.zeros((6, 4)),
+         "negative-zeros": np.full((6, 4), -0.0)}[kind]
+    want = float(np.max(np.abs(X))).hex()  # hex tells -0.0 from 0.0
+    assert as_data_matrix(X)[1].hex() == want
+    assert centered_gram(X).x_max.hex() == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 100])
@@ -271,6 +298,22 @@ def test_ar1_root_is_dense_cholesky(p, rho):
     assert X.shape == Z.shape
     assert rel_norm(X, Z @ np.linalg.cholesky(toeplitz_ar1(p, rho)).T) <= 1e-12
     assert rel_norm(cov.whiten(X), Z) <= 1e-12
+
+
+@pytest.mark.parametrize("cov", [AR1(9, 0.7), Dense(toeplitz_ar1(9, 0.7))], ids=["ar1", "dense"])
+def test_covariance_maps_leave_input_unmodified(cov):
+    Z = np.random.default_rng(4).normal(size=(6, 9))
+    before = Z.copy()
+    X = cov.apply_root(Z)
+    Y = cov.whiten(Z)
+    assert np.array_equal(Z, before)
+    assert not np.shares_memory(X, Z) and not np.shares_memory(Y, Z)
+    # The maps are row-wise whatever the memory order of the input (BLAS
+    # may round a product differently for another layout).
+    F = np.asfortranarray(Z)
+    assert rel_norm(cov.apply_root(F), X) <= 1e-14
+    assert rel_norm(cov.whiten(F), Y) <= 1e-14
+    assert np.array_equal(F, before)
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.inf, np.nan])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from ellipkurt import (
     sample_data,
     sample_sphere,
     sample_xi,
+    sqrt_psd,
     toeplitz_ar1,
     true_theta,
 )
+from ellipkurt.linalg import AR1
 
 ALL_LAWS = [
     ChiSquared(p=50),
@@ -187,3 +190,55 @@ def test_sample_data_rejects_bad_n():
     spec = EllipticalSpec.create(np.zeros(3), np.eye(3), ChiSquared(p=3))
     with pytest.raises(InvalidParameterError):
         sample_data(spec, 0, np.random.default_rng(0))
+
+
+def ar1_recursion(U, rho, fused):
+    """x_0 = u_0 and x_j = s u_j + rho x_{j-1}, one column at a time.
+
+    With ``fused`` the multiply-add is rounded once, as a BLAS kernel with
+    FMA computes it: the exact value as a fraction, then one rounding.
+    """
+    s = math.sqrt(1.0 - rho * rho)
+    X = np.empty_like(U)
+    X[:, 0] = U[:, 0]
+    for j in range(1, U.shape[1]):
+        b = s * U[:, j]
+        if fused:
+            X[:, j] = [float(Fraction(bi) + Fraction(rho) * Fraction(xi))
+                       for bi, xi in zip(b.tolist(), X[:, j - 1].tolist())]
+        else:
+            X[:, j] = b + rho * X[:, j - 1]
+    return X
+
+
+def sample_by_hand(spec, n, seed):
+    """Radii first, then normals divided by their row norms."""
+    rng = np.random.default_rng(seed)
+    xi = np.sqrt(spec.xi.sample_squared(rng, n))
+    Z = rng.normal(size=(n, spec.p))
+    return xi, Z / np.linalg.norm(Z, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+@pytest.mark.parametrize("p", [1, 2, 17, 1600])
+def test_sample_data_ar1_bit_identical_to_recursion(p, rho):
+    # mu + xi * L u with L u the AR(1) recursion, bit for bit; whether the
+    # BLAS kernel fuses the multiply-add depends on the CPU, so either
+    # rounding passes, but the whole sample must match one of them.
+    n, seed = 4, p * 100 + int(rho * 10)
+    mu = np.linspace(-3.0, 5.0, p)
+    spec = EllipticalSpec.create(mu, AR1(p, rho), KotzHalf(p=p))
+    X = sample_data(spec, n, np.random.default_rng(seed))
+    xi, U = sample_by_hand(spec, n, seed)
+    wants = [mu + xi[:, None] * ar1_recursion(U, rho, fused) for fused in (False, True)]
+    assert any(np.array_equal(X, want) for want in wants)
+
+
+def test_sample_data_dense_bit_identical():
+    p, n, seed = 7, 5, 3
+    mu = np.arange(p) - 2.5
+    sigma = toeplitz_ar1(p, 0.3) + np.diag(np.linspace(0.0, 1.0, p))
+    spec = EllipticalSpec.create(mu, sigma, ChiSquared(p=p))
+    X = sample_data(spec, n, np.random.default_rng(seed))
+    xi, U = sample_by_hand(spec, n, seed)
+    assert np.array_equal(X, mu + xi[:, None] * (U @ sqrt_psd(sigma)))

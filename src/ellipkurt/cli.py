@@ -29,15 +29,17 @@ from .errors import CsvParseError, EllipkurtError, InvalidParameterError, Schema
 from .harness import (
     DEFAULT_SEED,
     ExperimentConfig,
+    check_workers,
     load_config,
     preset_table1_desk,
     preset_table2_desk,
     run_coverage_experiment,
     run_estimation_experiment,
     summarize_to_csv,
+    usable_cores,
 )
 from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import centered_gram, toeplitz_ar1
+from .linalg import BLAS_LIMIT, centered_gram, toeplitz_ar1
 from .models import make_law, sample_sphere
 from .moments import (
     sphere_moment_1,
@@ -152,9 +154,11 @@ def cmd_estimate(args) -> int:
 
 def _configs_from_args(args) -> list[ExperimentConfig]:
     """The configs a simulate call runs. Every config, ``--reps`` included,
-    goes through ``ExperimentConfig`` validation; a value it rejects is a
-    usage error (:class:`SchemaError`)."""
+    goes through ``ExperimentConfig`` validation, and ``--workers`` through
+    the harness check; a value they reject is a usage error
+    (:class:`SchemaError`)."""
     try:
+        check_workers(args.workers)
         if args.config is not None:
             configs = [load_config(args.config)]
         elif args.preset == "table1-desk":
@@ -211,6 +215,13 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed: {configs[0].seed}")
+    if args.workers == 1:
+        blas = "serial; OpenBLAS threads left as set"
+    elif BLAS_LIMIT.reason:
+        blas = f"OpenBLAS threads not limited: {BLAS_LIMIT.reason}"
+    else:
+        blas = "OpenBLAS held to 1 thread while replications run"
+    print(f"workers: {args.workers} ({blas})")
     est_rows = []
     cov_rows = []
     for cfg in configs:
@@ -384,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"master seed (default {DEFAULT_SEED})")
     p_sim.add_argument("--out-dir", default=".", help="directory for output CSVs")
-    p_sim.add_argument("--workers", type=int, default=1, help="replication worker threads")
+    p_sim.add_argument("--workers", type=int, default=usable_cores(),
+                       help="replication worker threads; OpenBLAS is held at 1 thread "
+                            "while more than one runs (default: the usable cores, "
+                            "%(default)s here)")
     p_sim.add_argument("--dry-run", action="store_true", help="print the grid, write nothing")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -12,6 +12,17 @@ depend on execution order, adding replications leaves earlier ones
 unchanged, and aggregation folds results in replication order with exact
 (fsum) accumulation, so output CSVs are bit-identical no matter how many
 worker threads run the replications.
+
+Worker threads
+--------------
+The replications of an experiment run on one pool of ``workers`` threads;
+``simulate`` defaults to the cores this process may use
+(:func:`usable_cores`). Sampling and the
+Gram products spend their time in numpy and LAPACK calls that release the
+interpreter lock, so replications overlap. While a pool runs, OpenBLAS is
+held at one thread (:data:`ellipkurt.linalg.BLAS_LIMIT`): at these matrix
+sizes its own threads buy nothing and would compete with the pool for the
+same cores. A serial run leaves OpenBLAS as it is.
 """
 
 from __future__ import annotations
@@ -19,9 +30,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import warnings
 import zlib
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -30,7 +44,7 @@ import numpy as np
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
 from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import AR1, _check_ar1, centered_gram
+from .linalg import AR1, BLAS_LIMIT, _check_ar1, centered_gram
 from .models import EllipticalSpec, XiLaw, make_law, sample_data, true_theta
 from .ustat import theta_hat, ustats_fast
 
@@ -168,13 +182,38 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
     return mean, sd
 
 
-def _run_cell(cfg: ExperimentConfig, rep_fn, workers: int) -> list:
-    """Execute rep_fn over all replication indices, results in index order."""
-    indices = range(cfg.reps)
-    if workers <= 1:
-        return [rep_fn(r) for r in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(rep_fn, indices))
+def usable_cores() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def check_workers(workers: int) -> None:
+    """Raise :class:`InvalidParameterError` unless ``workers >= 1``."""
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+
+
+@contextmanager
+def _replication_map(workers: int) -> Iterator[Callable]:
+    """A ``map`` that runs the replications of one experiment, results in
+    index order.
+
+    With more than one worker it is the map of one thread pool, run with
+    OpenBLAS held at one thread; the pool's exit waits for every
+    replication before the old thread count is restored. The pool serves
+    every cell of the experiment: fresh threads per cell took fresh malloc
+    arenas and made peak RSS vary by up to 4 MB from run to run.
+    """
+    check_workers(workers)
+    if workers == 1:
+        yield map
+        return
+    with BLAS_LIMIT.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
 
 
 def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:
@@ -217,26 +256,27 @@ def run_estimation_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[S
     replications. Failed replications are counted and excluded."""
     fam_code = _family_code(cfg)
     rows: list[SummaryRow] = []
-    for p in cfg.p_list:
-        spec = _cell_spec(cfg, p)
-        results = _run_cell(cfg, _estimation_rep(cfg, p, spec, fam_code), workers)
-        for m in cfg.methods:
-            values = [r[m] for r in results if r[m] is not None]
-            mean, sd = _mean_sd(values)
-            rows.append(
-                SummaryRow(
-                    family=cfg.family_name,
-                    p=p,
-                    n=cfg.n,
-                    method=m,
-                    mean=mean,
-                    sd=sd,
-                    ecp=None,
-                    avg_width=None,
-                    reps_used=len(values),
-                    failures=cfg.reps - len(values),
+    with _replication_map(workers) as run_map:
+        for p in cfg.p_list:
+            spec = _cell_spec(cfg, p)
+            results = list(run_map(_estimation_rep(cfg, p, spec, fam_code), range(cfg.reps)))
+            for m in cfg.methods:
+                values = [r[m] for r in results if r[m] is not None]
+                mean, sd = _mean_sd(values)
+                rows.append(
+                    SummaryRow(
+                        family=cfg.family_name,
+                        p=p,
+                        n=cfg.n,
+                        method=m,
+                        mean=mean,
+                        sd=sd,
+                        ecp=None,
+                        avg_width=None,
+                        reps_used=len(values),
+                        failures=cfg.reps - len(values),
+                    )
                 )
-            )
     return rows
 
 
@@ -278,30 +318,31 @@ def run_coverage_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[Sum
         raise InvalidParameterError("coverage experiment needs nonempty ci_methods")
     fam_code = _family_code(cfg)
     rows: list[SummaryRow] = []
-    for p in cfg.p_list:
-        spec = _cell_spec(cfg, p)
-        theta0 = true_theta(spec.xi)
-        results = _run_cell(cfg, _coverage_rep(cfg, p, spec, fam_code), workers)
-        for m in cfg.ci_methods:
-            oks = [r[m] for r in results if r[m] is not None]
-            thetas = [v[0] for v in oks]
-            covered = sum(1 for v in oks if v[1] <= theta0 <= v[2])
-            widths = [v[2] - v[1] for v in oks]
-            mean, sd = _mean_sd(thetas)
-            rows.append(
-                SummaryRow(
-                    family=cfg.family_name,
-                    p=p,
-                    n=cfg.n,
-                    method=str(CiMethod(m).value),
-                    mean=mean,
-                    sd=sd,
-                    ecp=covered / len(oks) if oks else None,
-                    avg_width=math.fsum(widths) / len(widths) if widths else None,
-                    reps_used=len(oks),
-                    failures=cfg.reps - len(oks),
+    with _replication_map(workers) as run_map:
+        for p in cfg.p_list:
+            spec = _cell_spec(cfg, p)
+            theta0 = true_theta(spec.xi)
+            results = list(run_map(_coverage_rep(cfg, p, spec, fam_code), range(cfg.reps)))
+            for m in cfg.ci_methods:
+                oks = [r[m] for r in results if r[m] is not None]
+                thetas = [v[0] for v in oks]
+                covered = sum(1 for v in oks if v[1] <= theta0 <= v[2])
+                widths = [v[2] - v[1] for v in oks]
+                mean, sd = _mean_sd(thetas)
+                rows.append(
+                    SummaryRow(
+                        family=cfg.family_name,
+                        p=p,
+                        n=cfg.n,
+                        method=str(CiMethod(m).value),
+                        mean=mean,
+                        sd=sd,
+                        ecp=covered / len(oks) if oks else None,
+                        avg_width=math.fsum(widths) / len(widths) if widths else None,
+                        reps_used=len(oks),
+                        failures=cfg.reps - len(oks),
+                    )
                 )
-            )
     return rows
 
 

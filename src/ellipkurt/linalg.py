@@ -15,16 +15,24 @@ is the only place in the package that centers data or forms a Gram
 product. The summary is built once per sample and handed to every
 statistic that reads it (``ustats_fast``, ``wl_theta``,
 ``plugin_moments_case2``); each of them also accepts the raw data and then
-builds it itself.
+builds it itself. Last, :data:`BLAS_LIMIT` holds the OpenBLAS libraries
+that numpy and scipy bundle at one thread while concurrent callers run.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtbtrs
 
@@ -373,9 +381,106 @@ def centered_gram(X) -> CenteredGram:
         Xc = X - X[0]
         Xc -= Xc.mean(axis=0)
         g = np.einsum("ij,ij->i", Xc, Xc)
-        M = symmetrize(Xc.T @ Xc if p < n else Xc @ Xc.T)
+        # numpy forms a matrix times its own transpose with one symmetric
+        # rank-k update (BLAS syrk) and mirrors the triangle it wrote, so M
+        # is exactly symmetric on either side without averaging.
+        M = Xc.T @ Xc if p < n else Xc @ Xc.T
         cg = CenteredGram(n=n, p=p, x_max=x_max, g=g, M=M,
                           T=exact_sum(g), t=exact_sum(g * g), W=frobenius_sq(M))
     if np.any(Xc):
         require_normal(cg.t)
     return cg
+
+
+@dataclass(frozen=True)
+class OpenBlas:
+    """The thread-count getter and setter of one loaded OpenBLAS library."""
+
+    path: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# Exported names by OpenBLAS build: numpy's ILP64 and scipy's LP64 wheels
+# prefix theirs with scipy_ (numpy's also carries the 64_ suffix).
+_OPENBLAS_SYMBOLS = tuple(f"{prefix}_{{}}_num_threads{suffix}"
+                          for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+def find_openblas() -> tuple[list[OpenBlas], str | None]:
+    """The OpenBLAS libraries bundled with numpy and scipy, and the reason
+    when there is none. Loading a library the process already holds returns
+    that same library, so setting its thread count acts on numpy and scipy."""
+    libs, misses = [], []
+    for pkg in (np, scipy):
+        pkg_dir = os.path.dirname(pkg.__file__)
+        for path in sorted(glob.glob(f"{pkg_dir}.libs/*openblas*")):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError as exc:
+                misses.append(f"{os.path.basename(path)}: {exc}")
+                continue
+            name = next((n for n in _OPENBLAS_SYMBOLS if hasattr(lib, n.format("set"))), None)
+            if name is None:
+                misses.append(f"{os.path.basename(path)}: no thread-count symbol")
+                continue
+            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            libs.append(OpenBlas(path, get, set_))
+    if libs:
+        return libs, None
+    return libs, "; ".join(misses) or "no OpenBLAS library bundled with numpy or scipy"
+
+
+class BlasThreadLimit:
+    """Holds the OpenBLAS libraries at one thread while any holder is inside
+    :meth:`one_thread`.
+
+    The thread count is process-wide, so the process shares one instance,
+    :data:`BLAS_LIMIT`. The libraries are looked up on first use. Holders
+    are counted under a lock: the first one in saves each library's count
+    and sets it to 1, and the last one out restores it, also when an
+    exception escapes. With no library found it does nothing, and
+    :attr:`reason` says why.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._libs: list[OpenBlas] | None = None
+        self._reason: str | None = None
+        self._holders = 0
+        self._saved: list[int] = []
+
+    def _resolve(self) -> list[OpenBlas]:
+        if self._libs is None:
+            self._libs, self._reason = find_openblas()
+        return self._libs
+
+    @property
+    def reason(self) -> str | None:
+        """Why the limit is a no-op, or None when it holds a library."""
+        with self._lock:
+            self._resolve()
+            return self._reason
+
+    @contextmanager
+    def one_thread(self) -> Iterator[None]:
+        with self._lock:
+            libs = self._resolve()
+            if self._holders == 0:
+                self._saved = [lib.get() for lib in libs]
+                for lib in libs:
+                    lib.set(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    for lib, count in zip(libs, self._saved):
+                        lib.set(count)
+
+
+BLAS_LIMIT = BlasThreadLimit()

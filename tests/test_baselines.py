@@ -85,6 +85,20 @@ def test_oracle_dense_matches_cholesky_solve():
     assert oracle_theta(X, mu, Dense(sigma)) == oracle_theta(X, mu, sigma)
 
 
+@pytest.mark.parametrize("cov", [AR1(9, 0.7), Dense(toeplitz_ar1(9, 0.7))], ids=["ar1", "dense"])
+@pytest.mark.parametrize("mu", [np.zeros(9), np.full(9, -0.0), np.linspace(-1.0, 2.0, 9)],
+                         ids=["zero", "negative-zero", "nonzero"])
+def test_oracle_whitens_x_itself_when_mu_is_zero(cov, mu):
+    # Skipping the shift for mu = 0 is bit-identical to whitening X - mu,
+    # and X is left as it is.
+    X = np.random.default_rng(5).normal(size=(12, 9))
+    before = X.copy()
+    Y = cov.whiten(X - mu)
+    q = np.einsum("ij,ij->i", Y, Y)
+    assert oracle_theta(X, mu, cov) == math.fsum(q * q) / (12 * 9 * 11)
+    assert np.array_equal(X, before)
+
+
 def test_oracle_dimension_mismatch():
     X = np.random.default_rng(3).normal(size=(10, 3))
     with pytest.raises(InvalidParameterError):

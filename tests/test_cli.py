@@ -197,6 +197,48 @@ def test_simulate_bad_reps_exit_2(tmp_path, capsys, source, reps, dry_run):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("dry_run", [False, True])
+def test_simulate_bad_workers_exit_2(tmp_path, capsys, workers, dry_run):
+    out_dir = tmp_path / "res"
+    args = ["simulate", "--family", "normal", "--p", "8", "--reps", "3",
+            "--workers", workers, "--out-dir", str(out_dir)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    captured = capsys.readouterr()
+    assert "workers must be >= 1" in captured.err
+    assert "planned grid" not in captured.out
+    assert not out_dir.exists()
+
+
+def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
+    # estimate and a serial simulate never look up or set the BLAS threads;
+    # the workers line says what a pooled run did with them.
+    path = tmp_path / "data.csv"
+    write_csv(path, np.random.default_rng(3).normal(size=(20, 3)))
+    assert main(["estimate", "--input", str(path), "--ci", "all"]) == 0
+    capsys.readouterr()
+    args = ["simulate", "--family", "normal", "--p", "8", "--n", "16", "--reps", "2",
+            "--out-dir", str(tmp_path / "res")]
+    assert main(args + ["--workers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "workers: 1 (serial; OpenBLAS threads left as set)"
+    assert fake_blas.lookups == 0
+    assert main(args + ["--workers", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("seed: ")
+    assert lines[1] == "workers: 2 (OpenBLAS held to 1 thread while replications run)"
+    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+
+
+def test_simulate_reports_why_blas_is_not_limited(tmp_path, capsys, fake_blas):
+    fake_blas.libs = []
+    args = ["simulate", "--family", "normal", "--p", "8", "--n", "16", "--reps", "2",
+            "--workers", "2", "--out-dir", str(tmp_path / "res")]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "workers: 2 (OpenBLAS threads not limited: no library (fake))"
+
+
 def test_simulate_without_source_exit_2(capsys):
     assert main(["simulate"]) == 2
 
@@ -235,5 +277,6 @@ def test_simulate_preset_end_to_end(tmp_path, capsys, preset, csv_name):
     for line in lines[1:]:
         fields = line.split(",")
         assert int(fields[8]) + int(fields[9]) == 2
-    assert run("b") == first
+    # The default worker count is the usable cores; it must not matter.
+    assert run("b", "--workers", "1") == first
     assert run("c", "--workers", "2") == first

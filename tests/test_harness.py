@@ -20,7 +20,7 @@ from ellipkurt import (
     summarize_to_csv,
 )
 from ellipkurt import linalg
-from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code
+from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code, _replication_map
 
 
 class ZeroRadius:
@@ -282,3 +282,54 @@ def test_one_gram_summary_per_replication(gram_builds):
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
     run_coverage_experiment(cfg)
     assert gram_builds == [(cfg.n, p) for p in cfg.p_list for _ in range(cfg.reps)]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+        run_estimation_experiment(small_config(reps=2), workers=workers)
+    with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
+        run_coverage_experiment(small_config(reps=2, ci_methods=("case1",)), workers=workers)
+
+
+def test_pooled_replications_run_with_one_blas_thread():
+    # Inside a pooled replication numpy's and scipy's OpenBLAS read one
+    # thread; after the pool, also one whose replication raised, their own.
+    libs, reason = linalg.find_openblas()
+    if not libs:
+        pytest.skip(f"no bundled OpenBLAS: {reason}")
+    saved = [lib.get() for lib in libs]
+
+    def counts(rep):
+        if rep == 3 and raising:
+            raise RuntimeError("replication failed")
+        return [lib.get() for lib in libs]
+
+    try:
+        for lib in libs:
+            lib.set(2)
+        raising = False
+        for workers, inside in ((2, 1), (1, 2)):
+            with _replication_map(workers) as run_map:
+                for _ in range(2):  # two cells
+                    assert list(run_map(counts, range(6))) == [[inside] * len(libs)] * 6
+            assert [lib.get() for lib in libs] == [2] * len(libs)
+        raising = True
+        with pytest.raises(RuntimeError, match="replication failed"):
+            with _replication_map(2) as run_map:
+                list(run_map(counts, range(6)))
+        assert [lib.get() for lib in libs] == [2] * len(libs)
+    finally:
+        for lib, count in zip(libs, saved):
+            lib.set(count)
+
+
+def test_serial_runs_never_touch_blas_threads(fake_blas):
+    cfg = small_config(reps=2)
+    run_estimation_experiment(cfg, workers=1)
+    run_coverage_experiment(small_config(reps=2, ci_methods=("case1",)), workers=1)
+    assert fake_blas.lookups == 0
+    assert [lib.sets for lib in fake_blas.libs] == [[], []]
+    # A pooled run holds the limit once, across all of its cells.
+    run_estimation_experiment(cfg, workers=2)
+    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2

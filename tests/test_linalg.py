@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -13,8 +15,10 @@ from ellipkurt import (
     toeplitz_ar1,
     trace_powers,
 )
+from ellipkurt import linalg
 from ellipkurt.linalg import (
     AR1,
+    BLAS_LIMIT,
     Dense,
     as_covariance,
     as_data_matrix,
@@ -360,3 +364,68 @@ def test_centered_gram_underflow_is_typed():
     centered_gram(X * 2.0**-200)
     with pytest.raises(InvalidParameterError, match="underflow"):
         centered_gram(X * 2.0**-300)
+
+
+@pytest.mark.parametrize("one_thread", [False, True], ids=["default-blas", "one-thread-blas"])
+@pytest.mark.parametrize("n, p", [(5, 3), (3, 5), (40, 40), (100, 1600), (1000, 100), (64, 63)])
+def test_centered_gram_is_exactly_symmetric(n, p, one_thread):
+    # centered_gram relies on numpy's X'X and XX' being exactly symmetric,
+    # on both Gram sides and under either OpenBLAS thread count.
+    X = np.random.default_rng(n + p).normal(size=(n, p)) + 3.0
+    Xc = X - X.mean(axis=0)
+    with BLAS_LIMIT.one_thread() if one_thread else contextlib.nullcontext():
+        M = centered_gram(X).M
+        for G in (Xc.T @ Xc, Xc @ Xc.T):
+            assert np.array_equal(G, G.T)
+    assert np.array_equal(M, M.T)
+
+
+def test_blas_limit_holds_one_thread_and_restores(fake_blas):
+    limit = fake_blas.limit
+    assert fake_blas.lookups == 0  # lazy: nothing is looked up until first use
+    with limit.one_thread():
+        assert [lib.count for lib in fake_blas.libs] == [1, 1]
+    assert [lib.count for lib in fake_blas.libs] == [4, 4]
+    with pytest.raises(RuntimeError, match="boom"):
+        with limit.one_thread():
+            assert [lib.count for lib in fake_blas.libs] == [1, 1]
+            raise RuntimeError("boom")
+    assert [lib.count for lib in fake_blas.libs] == [4, 4]
+    assert [lib.sets for lib in fake_blas.libs] == [[1, 4, 1, 4]] * 2
+    assert fake_blas.lookups == 1 and limit.reason is None
+
+
+def test_blas_limit_overlapping_holders_in_two_threads(fake_blas):
+    # The first holder in saves the counts and the last one out restores
+    # them, exactly once, whichever thread that is.
+    limit = fake_blas.limit
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with limit.one_thread():
+            entered.set()
+            assert release.wait(timeout=10)
+
+    other = threading.Thread(target=hold)
+    other.start()
+    assert entered.wait(timeout=10)
+    with limit.one_thread():
+        release.set()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert [lib.count for lib in fake_blas.libs] == [1, 1]
+    assert [lib.count for lib in fake_blas.libs] == [4, 4]
+    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+
+
+def test_blas_limit_without_library_is_a_noop_with_reason(monkeypatch):
+    real = linalg.find_openblas()[0]
+    before = [lib.get() for lib in real]
+    monkeypatch.setattr(linalg.glob, "glob", lambda pattern: [])
+    libs, reason = linalg.find_openblas()
+    assert libs == [] and "no OpenBLAS library" in reason
+    limit = linalg.BlasThreadLimit()
+    with limit.one_thread():
+        assert [lib.get() for lib in real] == before
+    assert limit.reason == reason
+

@@ -56,14 +56,15 @@ from .models import (
     KotzHalf,
     ScaledF,
     XiLaw,
+    chi2_moment,
     make_law,
     sample_data,
     sample_sphere,
     sample_xi,
     true_theta,
+    xi_moment,
 )
 from .moments import (
-    chi2_moment,
     eta,
     sphere_moment_1,
     sphere_moment_2,
@@ -71,14 +72,12 @@ from .moments import (
     sphere_moment_4,
     var_centered_sq,
     var_quadform,
-    xi_moment,
 )
 from .ustat import (
     KurtosisEstimate,
     UStats,
     estimate_kurtosis,
     theta_hat,
-    ustats,
     ustats_bruteforce,
     ustats_fast,
 )

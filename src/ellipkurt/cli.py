@@ -6,8 +6,8 @@ Subcommands:
   intervals) from a CSV data matrix, rows = observations.
 * ``simulate``: run the estimation and/or coverage experiments from a
   JSON config, a named preset, or inline flags; writes CSV summaries.
-* ``validate``: Monte-Carlo agreement checks for the closed-form moment
-  oracles and brute-force-vs-fast differential tests for the statistics.
+* ``validate``: the Monte-Carlo and differential checks of
+  :mod:`ellipkurt.validation`, the same code the acceptance suite runs.
 
 Exit codes: 0 success, 1 validation/data failure, 2 usage or parse error.
 The CLI adds no arithmetic of its own; every number it prints comes from
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import CsvParseError, EllipkurtError, InvalidParameterError, SchemaError
 from .harness import (
+    CI_NAMES,
     DEFAULT_SEED,
     ExperimentConfig,
     check_workers,
@@ -38,21 +38,13 @@ from .harness import (
     summarize_to_csv,
     usable_cores,
 )
-from .inference import CiMethod, confidence_interval, plugin_moments_case2
-from .linalg import BLAS_LIMIT, centered_gram, toeplitz_ar1
-from .models import make_law, sample_sphere
-from .moments import (
-    sphere_moment_1,
-    sphere_moment_2,
-    sphere_moment_3,
-    sphere_moment_4,
-    var_centered_sq,
-    var_quadform,
-    xi_moment,
-)
-from .ustat import theta_hat, ustats_bruteforce, ustats_fast
+from .inference import confidence_interval, plugin_moments_case2, z_quantile
+from .linalg import BLAS_LIMIT, centered_gram
+from .models import FAMILY_NAMES
+from .ustat import theta_hat, ustats_fast
+from .validation import SUITES, run_suite
 
-CI_CHOICES = ("example1", "kotz", "t", "laplace", "case1", "case2", "all")
+CI_CHOICES = (*CI_NAMES, "all")
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,6 +86,10 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def cmd_estimate(args) -> int:
+    try:
+        z_quantile(args.alpha)  # the intervals' own check, before the input is read
+    except InvalidParameterError as exc:
+        raise SchemaError(f"invalid estimate options: {exc}") from exc
     X = read_csv_matrix(args.input)
     cg = centered_gram(X)
     est = theta_hat(ustats_fast(cg))
@@ -107,11 +103,7 @@ def cmd_estimate(args) -> int:
 
     ci_rows = []
     if args.ci is not None:
-        methods = (
-            ["example1", "kotz", "t", "laplace", "case1", "case2"]
-            if args.ci == "all"
-            else [args.ci]
-        )
+        methods = list(CI_NAMES) if args.ci == "all" else [args.ci]
         plugin = None
         if "case2" in methods:
             try:
@@ -242,123 +234,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-class _CheckReport:
-    """Collects per-check pass/fail lines for the validate command."""
-
-    def __init__(self):
-        self.failures = 0
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        status = "ok  " if ok else "FAIL"
-        print(f"{status} {name}" + (f"  ({detail})" if detail else ""))
-        if not ok:
-            self.failures += 1
-
-
-def _mc_band(err: float, se: float, n_se: float = 4.0) -> bool:
-    return abs(err) <= n_se * max(se, 1e-300)
-
-
-def _validate_ustat(report: _CheckReport, rng: np.random.Generator, quick: bool) -> None:
-    n_cases = 20 if quick else 50
-    worst = 0.0
-    families = ("normal", "kotz", "t", "laplace")
-    for case in range(n_cases):
-        n = int(rng.integers(4, 13))
-        # p straddles n, so both sides of the centered-Gram reduction run.
-        p = int(rng.integers(1, 2 * n))
-        law = make_law(families[case % 4], p)
-        xi = np.sqrt(law.sample_squared(rng, n))
-        U = sample_sphere(p, rng, n)
-        X = xi[:, None] * U + rng.normal(size=p)
-        fast = ustats_fast(X)
-        ref = ustats_bruteforce(X)
-        for a, b in ((fast.t1, ref.t1), (fast.t2, ref.t2), (fast.t3, ref.t3)):
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    report.check(
-        f"ustat differential ({n_cases} instances)",
-        worst <= 1e-10,
-        f"worst rel err {worst:.2e}",
-    )
-
-
-def _validate_moments(report: _CheckReport, rng: np.random.Generator, quick: bool) -> None:
-    draws = 200_000 if quick else 1_000_000
-    for p in (2, 5, 10):
-        A = rng.normal(size=(p, p))
-        A = 0.5 * (A + A.T)
-        B = rng.normal(size=(p, p))
-        B = 0.5 * (B + B.T)
-        U = sample_sphere(p, rng, draws)
-        qa = np.einsum("ij,ij->i", U @ A, U)
-        qb = np.einsum("ij,ij->i", U @ B, U)
-        samples = {
-            "order-1": (qa, sphere_moment_1(A)),
-            "order-2": (qa * qb, sphere_moment_2(A, B)),
-            "order-3": (qa * qa * qb, sphere_moment_3(A, A, B)),
-            "order-4": (qa**4, sphere_moment_4(A)),
-        }
-        for name, (vals, exact) in samples.items():
-            se = float(np.std(vals)) / math.sqrt(draws)
-            report.check(
-                f"sphere moment {name} p={p}",
-                _mc_band(float(np.mean(vals)) - exact, se),
-                f"mc={np.mean(vals):.5g} exact={exact:.5g}",
-            )
-    # squared-radius moments and quadratic-form variances
-    xi_draws = draws // 2
-    p = 20
-    sigma = toeplitz_ar1(p, 0.5)
-    for fam in ("normal", "kotz", "t", "laplace"):
-        law = make_law(fam, p)
-        x2 = law.sample_squared(rng, xi_draws)
-        for m in (1, 2):
-            vals = x2**m
-            se = float(np.std(vals)) / math.sqrt(xi_draws)
-            exact = xi_moment(law, m)
-            report.check(
-                f"xi moment m={m} {fam}",
-                _mc_band(float(np.mean(vals)) - exact, se),
-                f"mc={np.mean(vals):.5g} exact={exact:.5g}",
-            )
-    L = np.linalg.cholesky(sigma)
-    Z = rng.normal(size=(xi_draws, p))
-    quad = np.einsum("ij,ij->i", Z @ L, Z @ L) / np.einsum("ij,ij->i", Z, Z)
-    for fam in ("normal", "laplace"):
-        law = make_law(fam, p)
-        q = law.sample_squared(rng, xi_draws) * quad
-        vals = (q - float(np.mean(q))) ** 2
-        se_var = math.sqrt(
-            max(float(np.mean((vals - np.mean(vals)) ** 2)), 0.0) / xi_draws
-        )
-        exact = var_quadform(sigma, law)
-        report.check(
-            f"quadform variance {fam} p={p}",
-            _mc_band(float(np.var(q)) - exact, se_var),
-            f"mc={np.var(q):.5g} exact={exact:.5g}",
-        )
-        tr = float(np.trace(sigma))
-        sq = (q - tr) ** 2
-        vals = (sq - float(np.mean(sq))) ** 2
-        se_var = math.sqrt(max(float(np.mean((vals - np.mean(vals)) ** 2)), 0.0) / xi_draws)
-        exact = var_centered_sq(sigma, law, center="trace")
-        report.check(
-            f"centered-square variance {fam} p={p}",
-            _mc_band(float(np.var(sq)) - exact, se_var),
-            f"mc={np.var(sq):.5g} exact={exact:.5g}",
-        )
-
-
 def cmd_validate(args) -> int:
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
-    report = _CheckReport()
-    if args.suite in ("ustat", "all"):
-        _validate_ustat(report, rng, args.quick)
-    if args.suite in ("moments", "all"):
-        _validate_moments(report, rng, args.quick)
-    if report.failures:
-        print(f"{report.failures} check(s) failed")
+    failures = 0
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        for check in run_suite(suite, rng, quick=args.quick):
+            status = "ok  " if check.ok else "FAIL"
+            print(f"{status} {check.name}" + (f"  ({check.detail})" if check.detail else ""))
+            failures += not check.ok
+    if failures:
+        print(f"{failures} check(s) failed")
         return EXIT_FAILURE
     print("all checks passed")
     return EXIT_OK
@@ -384,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", default=None, help="JSON experiment config")
     p_sim.add_argument("--preset", choices=("table1-desk", "table2-desk"), default=None,
                        help="built-in desk-scale experiment grid")
-    p_sim.add_argument("--family", choices=("normal", "kotz", "t", "laplace"), default=None)
+    p_sim.add_argument("--family", choices=FAMILY_NAMES, default=None)
     p_sim.add_argument("--p", type=int, action="append", help="dimension (repeatable)")
     p_sim.add_argument("--n", type=int, default=100, help="sample size")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--ci-method", action="append",
-                       choices=[m.value for m in CiMethod],
+                       choices=CI_NAMES,
                        help="run a coverage experiment with this interval (repeatable)")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"master seed (default {DEFAULT_SEED})")
@@ -403,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="run Monte-Carlo and differential checks")
-    p_val.add_argument("suite", choices=("moments", "ustat", "all"))
+    p_val.add_argument("suite", choices=(*SUITES, "all"))
     p_val.add_argument("--quick", action="store_true", help="reduced draw counts")
     p_val.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"master seed (default {DEFAULT_SEED})")

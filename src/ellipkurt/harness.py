@@ -43,9 +43,9 @@ import numpy as np
 
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
-from .inference import CiMethod, confidence_interval, plugin_moments_case2
+from .inference import CiMethod, confidence_interval, plugin_moments_case2, z_quantile
 from .linalg import AR1, BLAS_LIMIT, _check_ar1, centered_gram
-from .models import EllipticalSpec, XiLaw, make_law, sample_data, true_theta
+from .models import FAMILY_LAWS, FAMILY_NAMES, EllipticalSpec, XiLaw, make_law, sample_data
 from .ustat import theta_hat, ustats_fast
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "SummaryRow",
     "CSV_HEADER",
     "ESTIMATOR_NAMES",
+    "CI_NAMES",
     "replication_rng",
     "run_estimation_experiment",
     "run_coverage_experiment",
@@ -65,21 +66,26 @@ __all__ = [
 DEFAULT_SEED = 20240811
 
 ESTIMATOR_NAMES = ("theta_hat", "oracle", "wl_plugin")
-_CI_NAMES = tuple(m.value for m in CiMethod)
-
-# Fixed codes keep substreams stable across runs; unknown families hash.
-_FAMILY_CODES = {"normal": 0, "kotz": 1, "t": 2, "laplace": 3}
+CI_NAMES = tuple(m.value for m in CiMethod)
 
 FamilySpec = Union[str, Callable[[int], XiLaw]]
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
 class ExperimentConfig:
     """Grid description for one family across several dimensions.
 
-    ``family`` is a family name ("normal", "kotz", "t", "laplace") or a
+    ``family`` is a name in :data:`ellipkurt.models.FAMILY_NAMES` or a
     callable mapping a dimension p to a squared-radius law (used for
-    custom laws in tests).
+    custom laws in tests). ``n``, ``reps``, ``seed`` and every p must be
+    integers.
     """
 
     family: FamilySpec
@@ -93,15 +99,22 @@ class ExperimentConfig:
     rho: float = 0.5
 
     def __post_init__(self):
-        self.p_list = tuple(int(p) for p in self.p_list)
+        if not (self.family in FAMILY_NAMES or callable(self.family)):
+            raise InvalidParameterError(
+                f"family must be one of {FAMILY_NAMES} or a callable, got {self.family!r}"
+            )
+        for name in ("n", "reps", "seed"):
+            _require_int(name, getattr(self, name))
+        self.p_list = tuple(_require_int("p", p) for p in self.p_list)
         self.methods = tuple(self.methods)
         self.ci_methods = tuple(self.ci_methods)
         if not self.p_list:
             raise InvalidParameterError("p_list must be nonempty")
         if self.reps < 1:
             raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidParameterError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        z_quantile(self.alpha)  # the intervals' own check: 0 < alpha < 1
         if self.n < 4:
             raise InvalidParameterError(f"n must be >= 4, got {self.n}")
         unknown = [m for m in self.methods if m not in ESTIMATOR_NAMES]
@@ -109,10 +122,10 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"unknown estimator methods {unknown}; expected subset of {ESTIMATOR_NAMES}"
             )
-        unknown = [m for m in self.ci_methods if m not in _CI_NAMES]
+        unknown = [m for m in self.ci_methods if m not in CI_NAMES]
         if unknown:
             raise InvalidParameterError(
-                f"unknown ci methods {unknown}; expected subset of {_CI_NAMES}"
+                f"unknown ci methods {unknown}; expected subset of {CI_NAMES}"
             )
         for p in self.p_list:
             _check_ar1(p, self.rho)
@@ -148,14 +161,9 @@ CSV_HEADER = "family,p,n,method,mean,sd,ecp,avg_width,reps_used,failures"
 
 
 def _family_code(cfg: ExperimentConfig) -> int:
+    # A shipped family's index keeps its substreams fixed; other names hash.
     name = cfg.family_name
-    return _FAMILY_CODES.get(name, zlib.crc32(name.encode("utf-8")))
-
-
-def _resolve_law(cfg: ExperimentConfig, p: int) -> XiLaw:
-    if isinstance(cfg.family, str):
-        return make_law(cfg.family, p)
-    return cfg.family(p)
+    return FAMILY_NAMES.index(name) if name in FAMILY_NAMES else zlib.crc32(name.encode())
 
 
 def replication_rng(seed: int, family_code: int, p: int, rep: int) -> np.random.Generator:
@@ -219,7 +227,8 @@ def _replication_map(workers: int) -> Iterator[Callable]:
 def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:
     """The model of cell (family, p): zero location, AR(1) covariance with
     ``cfg.rho``, never formed as a matrix, and the family's radius law."""
-    return EllipticalSpec.create(np.zeros(p), AR1(p, cfg.rho), _resolve_law(cfg, p))
+    law = make_law(cfg.family, p) if isinstance(cfg.family, str) else cfg.family(p)
+    return EllipticalSpec.create(np.zeros(p), AR1(p, cfg.rho), law)
 
 
 def _estimation_rep(cfg, p, spec, fam_code):
@@ -321,7 +330,7 @@ def run_coverage_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[Sum
     with _replication_map(workers) as run_map:
         for p in cfg.p_list:
             spec = _cell_spec(cfg, p)
-            theta0 = true_theta(spec.xi)
+            theta0 = spec.xi.theta()
             results = list(run_map(_coverage_rep(cfg, p, spec, fam_code), range(cfg.reps)))
             for m in cfg.ci_methods:
                 oks = [r[m] for r in results if r[m] is not None]
@@ -408,15 +417,12 @@ def load_config(source) -> ExperimentConfig:
 
 _DESK_P_LIST = (100, 200, 400, 800, 1600)
 
-# The family-specific interval used alongside the generic plug-ins.
-_FAMILY_CI = {"normal": "example1", "kotz": "kotz", "t": "t", "laplace": "laplace"}
-
 
 def preset_table1_desk(seed: int = DEFAULT_SEED, reps: int = 200) -> list[ExperimentConfig]:
     """Estimation study over all four families at the full dimension grid."""
     return [
         ExperimentConfig(family=fam, p_list=_DESK_P_LIST, n=100, reps=reps, seed=seed)
-        for fam in ("normal", "kotz", "t", "laplace")
+        for fam in FAMILY_NAMES
     ]
 
 
@@ -430,7 +436,7 @@ def preset_table2_desk(seed: int = DEFAULT_SEED, reps: int = 500) -> list[Experi
             reps=reps,
             seed=seed,
             methods=(),
-            ci_methods=(_FAMILY_CI[fam], "case1", "case2"),
+            ci_methods=(law.interval, "case1", "case2"),
         )
-        for fam in ("normal", "kotz", "t", "laplace")
+        for fam, law in FAMILY_LAWS.items()
     ]

@@ -20,18 +20,24 @@ induce:
 * ``laplace``: xi^2 = R1 * R2, R1 ~ Exp(1), R2 ~ chi-squared p
   (kurtosis 2).
 
+Each law class owns its family's facts: the sampler, the closed forms
+:meth:`XiLaw.theta` and :meth:`XiLaw.moment`, and the name of the family's
+confidence interval. The order of :data:`FAMILY_LAWS` fixes the simulation
+harness's substream codes.
+
 Samplers take an explicit ``numpy.random.Generator``; there is no global
 RNG. Identical generator states produce bit-identical output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, MomentDoesNotExistError
 from .linalg import AR1, Dense, as_covariance
 
 __all__ = [
@@ -40,9 +46,12 @@ __all__ = [
     "KotzHalf",
     "ScaledF",
     "ExpChiProduct",
+    "FAMILY_LAWS",
     "FAMILY_NAMES",
     "make_law",
     "true_theta",
+    "chi2_moment",
+    "xi_moment",
     "EllipticalSpec",
     "sample_sphere",
     "sample_xi",
@@ -51,22 +60,47 @@ __all__ = [
 
 
 class XiLaw:
-    """Base class for squared-radius laws.
+    """Base class for squared-radius laws, normalized so that E xi^2 = p.
 
-    Subclasses draw xi^2 via :meth:`sample_squared` and are normalized so
-    that E xi^2 = p.
+    Subclasses draw xi^2 via :meth:`sample_squared`. One without closed
+    forms keeps the base :meth:`theta` and :meth:`moment`, which raise
+    :class:`InvalidParameterError`. ``interval`` names the family's
+    confidence interval.
     """
 
     p: int
     family: ClassVar[str] = "custom"
+    interval: ClassVar[str | None] = None
 
     def sample_squared(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
+
+    def theta(self) -> float:
+        """Population kurtosis E xi^4 / (p (p + 2))."""
+        raise InvalidParameterError(f"no kurtosis known for law {self!r}")
+
+    def moment(self, m: int) -> float:
+        """Exact E xi^{2m}, m in 1..4."""
+        raise InvalidParameterError(f"no moment formula known for law {self!r}")
 
 
 def _check_dim(p: int) -> None:
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise InvalidParameterError(f"dimension p must be a positive integer, got {p!r}")
+
+
+def _check_order(m: int) -> None:
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= 4:
+        raise InvalidParameterError(f"moment order must be an integer in 1..4, got {m!r}")
+
+
+def chi2_moment(p: int, m: int) -> float:
+    """m-th moment of a chi-squared variable with p degrees of freedom:
+    p (p + 2) ... (p + 2m - 2)."""
+    out = 1.0
+    for j in range(1, m + 1):
+        out *= p + 2 * j - 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,12 +109,20 @@ class ChiSquared(XiLaw):
 
     p: int
     family: ClassVar[str] = "normal"
+    interval: ClassVar[str] = "example1"
 
     def __post_init__(self):
         _check_dim(self.p)
 
     def sample_squared(self, rng, size=None):
         return rng.chisquare(self.p, size)
+
+    def theta(self) -> float:
+        return 1.0
+
+    def moment(self, m: int) -> float:
+        _check_order(m)
+        return chi2_moment(self.p, m)
 
 
 @dataclass(frozen=True)
@@ -93,6 +135,7 @@ class KotzHalf(XiLaw):
 
     p: int
     family: ClassVar[str] = "kotz"
+    interval: ClassVar[str] = "kotz"
 
     def __post_init__(self):
         _check_dim(self.p)
@@ -100,6 +143,17 @@ class KotzHalf(XiLaw):
     def sample_squared(self, rng, size=None):
         w = rng.gamma(self.p, 1.0, size)
         return w * w / (self.p + 1)
+
+    def theta(self) -> float:
+        return (self.p + 3) / (self.p + 1)
+
+    def moment(self, m: int) -> float:
+        """E w^{2m} / (p + 1)^m = p (p + 1) ... (p + 2m - 1) / (p + 1)^m."""
+        _check_order(m)
+        out = 1.0
+        for j in range(1, 2 * m + 1):
+            out *= self.p + j - 1
+        return out / (self.p + 1) ** m
 
 
 @dataclass(frozen=True)
@@ -115,6 +169,7 @@ class ScaledF(XiLaw):
     p: int
     d: int = 9
     family: ClassVar[str] = "t"
+    interval: ClassVar[str] = "t"
 
     def __post_init__(self):
         _check_dim(self.p)
@@ -128,6 +183,26 @@ class ScaledF(XiLaw):
         den = rng.chisquare(self.d, size) / self.d
         return self.p * ((self.d - 2) / self.d) * num / den
 
+    def theta(self) -> float:
+        return (self.d - 2) / (self.d - 4)
+
+    def moment(self, m: int) -> float:
+        """Orders m >= d/2 raise :class:`MomentDoesNotExistError`. Gamma
+        ratios go through log-gamma differences, so large p cannot overflow."""
+        _check_order(m)
+        if 2 * m >= self.d:
+            raise MomentDoesNotExistError(
+                f"E xi^{2 * m} is infinite for ScaledF with d={self.d} (needs d > {2 * m})"
+            )
+        log_val = (
+            m * math.log(self.d - 2)
+            + math.lgamma(self.p / 2 + m)
+            - math.lgamma(self.p / 2)
+            + math.lgamma(self.d / 2 - m)
+            - math.lgamma(self.d / 2)
+        )
+        return math.exp(log_val)
+
 
 @dataclass(frozen=True)
 class ExpChiProduct(XiLaw):
@@ -136,6 +211,7 @@ class ExpChiProduct(XiLaw):
 
     p: int
     family: ClassVar[str] = "laplace"
+    interval: ClassVar[str] = "laplace"
 
     def __post_init__(self):
         _check_dim(self.p)
@@ -143,44 +219,39 @@ class ExpChiProduct(XiLaw):
     def sample_squared(self, rng, size=None):
         return rng.exponential(1.0, size) * rng.chisquare(self.p, size)
 
+    def theta(self) -> float:
+        return 2.0
 
-FAMILY_NAMES = ("normal", "kotz", "t", "laplace")
+    def moment(self, m: int) -> float:
+        _check_order(m)
+        return math.factorial(m) * chi2_moment(self.p, m)
 
-_FAMILY_FACTORIES = {
-    "normal": ChiSquared,
-    "kotz": KotzHalf,
-    "t": ScaledF,
-    "laplace": ExpChiProduct,
-}
+
+# The order is fixed: a family's index is its substream code in the
+# simulation harness (normal=0, kotz=1, t=2, laplace=3).
+FAMILY_LAWS = {law.family: law for law in (ChiSquared, KotzHalf, ScaledF, ExpChiProduct)}
+FAMILY_NAMES = tuple(FAMILY_LAWS)
 
 
 def make_law(family: str, p: int, d: int = 9) -> XiLaw:
     """Build the squared-radius law for a named family at dimension p."""
     try:
-        factory = _FAMILY_FACTORIES[family]
+        factory = FAMILY_LAWS[family]
     except KeyError:
         raise InvalidParameterError(
             f"unknown family {family!r}; expected one of {FAMILY_NAMES}"
         ) from None
-    if factory is ScaledF:
-        return ScaledF(p=p, d=d)
-    return factory(p=p)
+    return ScaledF(p=p, d=d) if factory is ScaledF else factory(p=p)
 
 
 def true_theta(law: XiLaw) -> float:
     """Population kurtosis E xi^4 / (p (p + 2)) of a squared-radius law."""
-    if isinstance(law, ChiSquared):
-        return 1.0
-    if isinstance(law, KotzHalf):
-        return (law.p + 3) / (law.p + 1)
-    if isinstance(law, ScaledF):
-        return (law.d - 2) / (law.d - 4)
-    if isinstance(law, ExpChiProduct):
-        return 2.0
-    theta = getattr(law, "theta", None)
-    if callable(theta):
-        return float(theta())
-    raise InvalidParameterError(f"no kurtosis known for law {law!r}")
+    return law.theta()
+
+
+def xi_moment(law: XiLaw, m: int) -> float:
+    """Exact E xi^{2m} of a squared-radius law, m in 1..4."""
+    return law.moment(m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,12 @@
 """Closed-form moment oracles.
 
-Expectations of quadratic forms in a uniform unit-sphere vector, exact
-moments E xi^{2m} for the shipped squared-radius laws, and the variance of
-the squared norm of a centered elliptical vector around two different
-centerings. These serve as ground truth for the Monte-Carlo property tests
-and the validation suites.
+Expectations of quadratic forms in a uniform unit-sphere vector, the
+normalized radius moments eta_m, and the variance of the squared norm of a
+centered elliptical vector around two different centerings. The exact
+moments E xi^{2m} themselves belong to the squared-radius laws
+(:meth:`ellipkurt.models.XiLaw.moment`). These serve as ground truth for
+the Monte-Carlo property tests and the checks in
+:mod:`ellipkurt.validation`.
 
 Throughout, eta_m denotes E xi^{2m} divided by the m-th moment of a
 chi-squared variable with p degrees of freedom, so eta_1 = 1 under the
@@ -13,21 +15,17 @@ E xi^2 = p normalization and eta_2 is the kurtosis parameter.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidParameterError, MomentDoesNotExistError
+from .errors import InvalidParameterError
 from .linalg import check_symmetric, trace_powers
-from .models import ChiSquared, ExpChiProduct, KotzHalf, ScaledF, XiLaw
+from .models import XiLaw, chi2_moment, xi_moment
 
 __all__ = [
     "sphere_moment_1",
     "sphere_moment_2",
     "sphere_moment_3",
     "sphere_moment_4",
-    "chi2_moment",
-    "xi_moment",
     "eta",
     "var_quadform",
     "var_centered_sq",
@@ -94,63 +92,12 @@ def sphere_moment_4(A) -> float:
     return num / (p * (p + 2) * (p + 4) * (p + 6))
 
 
-def chi2_moment(p: int, m: int) -> float:
-    """m-th moment of a chi-squared variable with p degrees of freedom:
-    p (p + 2) ... (p + 2m - 2)."""
-    out = 1.0
-    for j in range(1, m + 1):
-        out *= p + 2 * j - 2
-    return out
-
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= 4:
-        raise InvalidParameterError(f"moment order must be an integer in 1..4, got {m!r}")
-
-
-def xi_moment(law: XiLaw, m: int) -> float:
-    """Exact E xi^{2m} for a shipped law, m in 1..4.
-
-    ScaledF only has moments of order m < d/2; higher orders raise
-    :class:`MomentDoesNotExistError`. Gamma-function ratios are evaluated
-    through log-gamma differences so large dimensions do not overflow.
-    """
-    _check_order(m)
-    if isinstance(law, ChiSquared):
-        return chi2_moment(law.p, m)
-    if isinstance(law, KotzHalf):
-        out = 1.0
-        for j in range(1, 2 * m + 1):
-            out *= law.p + j - 1
-        return out / (law.p + 1) ** m
-    if isinstance(law, ScaledF):
-        if 2 * m >= law.d:
-            raise MomentDoesNotExistError(
-                f"E xi^{2 * m} is infinite for ScaledF with d={law.d} (needs d > {2 * m})"
-            )
-        log_val = (
-            m * math.log(law.d - 2)
-            + math.lgamma(law.p / 2 + m)
-            - math.lgamma(law.p / 2)
-            + math.lgamma(law.d / 2 - m)
-            - math.lgamma(law.d / 2)
-        )
-        return math.exp(log_val)
-    if isinstance(law, ExpChiProduct):
-        return math.factorial(m) * chi2_moment(law.p, m)
-    moment = getattr(law, "moment", None)
-    if callable(moment):
-        return float(moment(m))
-    raise InvalidParameterError(f"no moment formula known for law {law!r}")
-
-
 def eta(law: XiLaw, m: int) -> float:
     """Normalized moment E xi^{2m} / E Y^m with Y chi-squared(p).
 
     eta(law, 1) == 1 for every correctly normalized law and eta(law, 2)
     is the kurtosis parameter.
     """
-    _check_order(m)
     return xi_moment(law, m) / chi2_moment(law.p, m)
 
 

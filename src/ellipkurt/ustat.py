@@ -17,7 +17,7 @@ only usable for small n. :func:`ustats_fast` evaluates the same sums in
 O(n p min(n, p)) through inclusion-exclusion on index coincidences; the
 differential test between the two is the correctness argument for the
 reduction, so the brute force is part of the public API rather than
-test-only code (see :func:`ustats`).
+test-only code (see :func:`ellipkurt.validation.ustat_differential`).
 
 Derivation of the fast path
 ---------------------------
@@ -69,7 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDataError, InsufficientSampleError, InvalidParameterError
+from .errors import DegenerateDataError, InsufficientSampleError
 from .linalg import as_data_matrix, centered_gram, require_finite
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "KurtosisEstimate",
     "ustats_bruteforce",
     "ustats_fast",
-    "ustats",
     "theta_hat",
     "estimate_kurtosis",
 ]
@@ -171,20 +170,6 @@ def ustats_fast(X) -> UStats:
     return UStats(t1=t1, t2=t2, t3=t3, n=n, p=cg.p)
 
 
-def ustats(X, method: str = "fast") -> UStats:
-    """Dispatch between the fast path and the reference path.
-
-    ``method="reference"`` selects the O(n^4 p) brute force, which takes
-    the data matrix only; anything the production code consumes goes
-    through ``method="fast"``, which also takes its centered Gram summary.
-    """
-    if method == "fast":
-        return ustats_fast(X)
-    if method == "reference":
-        return ustats_bruteforce(X)
-    raise InvalidParameterError(f"method must be 'fast' or 'reference', got {method!r}")
-
-
 def theta_hat(u: UStats) -> KurtosisEstimate:
     """Kurtosis estimate (t1 + t2 - 2 t3) / (t2 + 2 t3).
 
@@ -200,6 +185,7 @@ def theta_hat(u: UStats) -> KurtosisEstimate:
     return KurtosisEstimate(theta_hat=(u.t1 + u.t2 - 2.0 * u.t3) / den, ustats=u)
 
 
-def estimate_kurtosis(X, method: str = "fast") -> KurtosisEstimate:
-    """Convenience wrapper: statistics plus point estimate in one call."""
-    return theta_hat(ustats(X, method=method))
+def estimate_kurtosis(X) -> KurtosisEstimate:
+    """Convenience wrapper: fast-path statistics plus point estimate in one
+    call. ``X`` is the data matrix or its centered Gram summary."""
+    return theta_hat(ustats_fast(X))

@@ -2,7 +2,9 @@
 
 Each test implements one acceptance criterion at its stated tolerance and
 prints a single pass/fail line (run with ``pytest -s`` to see them on
-success; failures surface through the assertions either way).
+success; failures surface through the assertions either way). Criteria 1,
+4 and 5 run the checks of :mod:`ellipkurt.validation`, the code that
+``ellipkurt validate`` runs, at this suite's seeds and draw counts.
 
 The statistical criteria (2 and 3) are seeded Monte-Carlo experiments at
 desk scale: 200 replications for the estimation study, 500 for coverage,
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from ellipkurt import (
+    FAMILY_NAMES,
     CiMethod,
     ExperimentConfig,
     confidence_interval,
@@ -25,17 +28,10 @@ from ellipkurt import (
     run_coverage_experiment,
     run_estimation_experiment,
     sample_sphere,
-    sphere_moment_1,
-    sphere_moment_2,
-    sphere_moment_3,
-    sphere_moment_4,
     summarize_to_csv,
     theta_hat,
-    toeplitz_ar1,
-    ustats_bruteforce,
     ustats_fast,
-    var_centered_sq,
-    var_quadform,
+    validation,
 )
 from ellipkurt.errors import EllipkurtError
 
@@ -57,31 +53,20 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def pulls(checks) -> str:
+    return "; ".join(f"{c.name}: {c.detail}" for c in checks if c.detail)
+
+
 def test_criterion_1_ustat_differential():
-    rng = np.random.default_rng(SEED)
-    families = ("normal", "kotz", "t", "laplace")
+    assert validation.MAX_REL_ERR == 1e-10
     t0 = time.perf_counter()
-    worst = 0.0
-    for case in range(50):
-        n = int(rng.integers(4, 13))
-        p = int(rng.integers(1, 6))
-        law = make_law(families[case % 4], p)
-        xi = np.sqrt(law.sample_squared(rng, n))
-        U = sample_sphere(p, rng, n)
-        X = xi[:, None] * U + rng.normal(size=p) * rng.uniform(0, 5)
-        fast = ustats_fast(X)
-        ref = ustats_bruteforce(X)
-        worst = max(
-            worst,
-            rel_err(fast.t1, ref.t1),
-            rel_err(fast.t2, ref.t2),
-            rel_err(fast.t3, ref.t3),
-        )
+    [check] = validation.ustat_differential(np.random.default_rng(SEED), cases=50)
     elapsed = time.perf_counter() - t0
     report(
-        "criterion 1: fast path equals brute force (50 datasets, all families)",
-        worst <= 1e-10 and elapsed < 10.0,
-        f"worst rel err {worst:.2e}, {elapsed:.1f} s",
+        "criterion 1: fast path equals brute force "
+        "(50 datasets, all families, both Gram sides)",
+        check.ok and elapsed < 10.0,
+        f"{check.detail}, {elapsed:.1f} s",
     )
 
 
@@ -150,82 +135,24 @@ def test_criterion_3_coverage_study():
 
 
 def test_criterion_4_sphere_moment_agreement():
-    rng = np.random.default_rng(SEED + 4)
-    draws = 1_000_000
-    ok = True
-    details = []
-    for p in (2, 5, 10):
-        mats = []
-        for _ in range(3):
-            A = rng.normal(size=(p, p))
-            mats.append(0.5 * (A + A.T))
-        A, B, C = mats
-        U = sample_sphere(p, rng, draws)
-        qa = np.einsum("ij,ij->i", U @ A, U)
-        qb = np.einsum("ij,ij->i", U @ B, U)
-        qc = np.einsum("ij,ij->i", U @ C, U)
-        cases = [
-            ("m1", qa, sphere_moment_1(A)),
-            ("m2", qa * qb, sphere_moment_2(A, B)),
-            ("m3", qa * qb * qc, sphere_moment_3(A, B, C)),
-            ("m4", qa**4, sphere_moment_4(A)),
-        ]
-        for name, vals, exact in cases:
-            se = float(vals.std()) / math.sqrt(draws)
-            pull = abs(float(vals.mean()) - exact) / max(se, 1e-300)
-            ok = ok and pull <= 4.0
-            details.append(f"p={p} {name}: {pull:.1f} se")
-        I = np.eye(p)
-        ok = ok and sphere_moment_1(I) == 1.0
-        ok = ok and sphere_moment_2(I, I) == 1.0
-        ok = ok and sphere_moment_3(I, I, I) == 1.0
-        ok = ok and sphere_moment_4(I) == 1.0
+    assert validation.MAX_PULL == 4.0
+    checks = validation.sphere_moments(np.random.default_rng(SEED + 4), draws=1_000_000)
     report(
         "criterion 4: sphere quadratic-form moments match Monte Carlo (1e6 draws)",
-        ok,
-        "; ".join(details),
+        all(c.ok for c in checks),
+        pulls(checks),
     )
 
 
 def test_criterion_5_quadform_variance_agreement():
-    rng = np.random.default_rng(SEED + 5)
-    ok = True
-    details = []
-    for p, draws in ((20, 600_000), (50, 200_000)):
-        sigma = toeplitz_ar1(p, 0.5)
-        L = np.linalg.cholesky(sigma)
-        Z = rng.normal(size=(draws, p))
-        Y = Z @ L
-        quad = np.einsum("ij,ij->i", Y, Y) / np.einsum("ij,ij->i", Z, Z)
-        tr = float(np.trace(sigma))
-        for fam in ("normal", "laplace"):
-            law = make_law(fam, p)
-            q = law.sample_squared(rng, draws) * quad
-            theta = 1.0 if fam == "normal" else 2.0
-
-            def within(vals, exact, label):
-                mc = float(np.var(vals))
-                centered = (vals - vals.mean()) ** 2
-                se = math.sqrt(
-                    max(float(np.mean((centered - centered.mean()) ** 2)), 0.0) / draws
-                )
-                pull = abs(mc - exact) / max(se, 1e-300)
-                details.append(f"{fam}/p={p} {label}: {pull:.1f} se")
-                return pull <= 4.0
-
-            ok = ok and within(q, var_quadform(sigma, law), "var")
-            ok = ok and within(
-                (q - tr) ** 2, var_centered_sq(sigma, law, "trace"), "c-tr"
-            )
-            ok = ok and within(
-                (q - theta * tr) ** 2,
-                var_centered_sq(sigma, law, "theta_trace"),
-                "c-th",
-            )
+    assert validation.MAX_PULL == 4.0
+    checks = validation.quadform_variances(
+        np.random.default_rng(SEED + 5), cells=((20, 600_000), (50, 200_000))
+    )
     report(
         "criterion 5: quadratic-form variance formulas match Monte Carlo",
-        ok,
-        "; ".join(details),
+        all(c.ok for c in checks),
+        pulls(checks),
     )
 
 
@@ -252,7 +179,7 @@ def test_criterion_6_invariance_suite():
     for rep in range(20):
         n = int(rng.integers(20, 60))
         p = int(rng.integers(5, 30))
-        fam = ("normal", "kotz", "t", "laplace")[rep % 4]
+        fam = FAMILY_NAMES[rep % len(FAMILY_NAMES)]
         law = make_law(fam, p)
         xi = np.sqrt(law.sample_squared(rng, n))
         X = xi[:, None] * sample_sphere(p, rng, n)
@@ -263,11 +190,7 @@ def test_criterion_6_invariance_suite():
             plugin = None
         for method in CiMethod:
             try:
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    ci = confidence_interval(est, method, 0.05, plugin=plugin)
+                ci = confidence_interval(est, method, 0.05, plugin=plugin)
             except EllipkurtError:
                 continue
             ci_checked += 1

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ellipkurt import CSV_HEADER, estimate_kurtosis
+from ellipkurt import CSV_HEADER, estimate_kurtosis, validation
 from ellipkurt.cli import main, read_csv_matrix
 from ellipkurt.errors import CsvParseError
 
@@ -96,6 +97,17 @@ def test_estimate_malformed_csv_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ci", [[], ["--ci", "all"], ["--ci", "laplace"]])
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_estimate_bad_alpha_exit_2(tmp_path, capsys, ci, alpha):
+    # A usage error before any work: the input is never read.
+    args = ["estimate", "--input", str(tmp_path / "missing.csv"), "--alpha", alpha]
+    assert main(args + ci) == 2
+    captured = capsys.readouterr()
+    assert "alpha must be in (0, 1)" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_insufficient_sample_exit_1(tmp_path, capsys):
     path = tmp_path / "small.csv"
     path.write_text("1,2\n3,4\n5,6\n")
@@ -158,29 +170,40 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dry_run", [True, False])
-def test_simulate_config_bad_rho_exit_2(tmp_path, capsys, dry_run):
-    # An invalid AR(1) coefficient is a config error before any cell runs.
+def refused_config_error(tmp_path, capsys, bad, dry_run):
+    """stderr of a simulate call on a config with the ``bad`` entries, which
+    must exit 2 before it plans or writes anything."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "n": 16, "rho": 1.5}))
+    cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "n": 16, **bad}))
     out_dir = tmp_path / "res"
     args = ["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]
     assert main(args + ["--dry-run"] * dry_run) == 2
-    assert "rho" in capsys.readouterr().err
-    assert not out_dir.exists()
+    captured = capsys.readouterr()
+    assert "planned grid" not in captured.out and not out_dir.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_simulate_config_bad_rho_exit_2(tmp_path, capsys, dry_run):
+    # An invalid AR(1) coefficient is a config error before any cell runs.
+    assert "rho" in refused_config_error(tmp_path, capsys, {"rho": 1.5}, dry_run)
 
 
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_simulate_config_unknown_ci_method_exit_2(tmp_path, capsys, dry_run):
     # An unknown interval method is a config error, not a traceback.
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "n": 16,
-                                    "ci_methods": ["bogus"]}))
-    out_dir = tmp_path / "res"
-    args = ["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]
-    assert main(args + ["--dry-run"] * dry_run) == 2
-    assert "bogus" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert "bogus" in refused_config_error(tmp_path, capsys, {"ci_methods": ["bogus"]}, dry_run)
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("bad, message", [
+    ({"n": 20.5}, "n must be an integer"), ({"reps": 2.5}, "reps must be an integer"),
+    ({"seed": "abc"}, "seed must be an integer"), ({"seed": -1}, "seed must be >= 0"),
+    ({"p_list": [10.7]}, "p must be an integer"), ({"family": 5}, "family must be one of"),
+    ({"family": "cauchy"}, "family must be one of"),
+])
+def test_simulate_config_bad_types_exit_2(tmp_path, capsys, bad, message, dry_run):
+    assert message in refused_config_error(tmp_path, capsys, bad, dry_run)
 
 
 @pytest.mark.parametrize("source", [["--family", "normal", "--p", "8", "--n", "16"],
@@ -254,6 +277,24 @@ def test_validate_ustat_quick(capsys):
     out = capsys.readouterr().out
     assert "ustat differential" in out
     assert "all checks passed" in out
+
+
+def test_validate_moments_quick(capsys):
+    assert main(["validate", "moments", "--quick"]) == 0
+    out = capsys.readouterr().out
+    for group in ("sphere moment", "xi moment", "quadform variance"):
+        assert f"ok   {group} " in out
+    assert "all checks passed" in out
+
+
+def test_validate_failed_check_exit_1(capsys, monkeypatch):
+    # A brute-force oracle off by a relative 1e-9 fails the differential.
+    real = validation.ustats_bruteforce
+    monkeypatch.setattr(validation, "ustats_bruteforce",
+                        lambda X: dataclasses.replace(real(X), t3=real(X).t3 * (1 + 1e-9)))
+    assert main(["validate", "ustat", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL ustat differential" in out and "1 check(s) failed" in out
 
 
 @pytest.mark.filterwarnings("ignore:aggregate over a single replication")

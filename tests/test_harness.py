@@ -7,10 +7,12 @@ import scipy.linalg
 
 from ellipkurt import (
     CSV_HEADER,
+    FAMILY_NAMES,
     ExperimentConfig,
     InvalidParameterError,
     SchemaError,
     SummaryRow,
+    XiLaw,
     load_config,
     preset_table1_desk,
     preset_table2_desk,
@@ -23,7 +25,7 @@ from ellipkurt import linalg
 from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code, _replication_map
 
 
-class ZeroRadius:
+class ZeroRadius(XiLaw):
     """Family stub whose radius is identically zero."""
 
     def __init__(self, p):
@@ -68,6 +70,20 @@ def test_config_validation():
         ExperimentConfig(family="normal", p_list=(10,), ci_methods=("bogus",))
     with pytest.raises(InvalidParameterError, match="rho"):
         ExperimentConfig(family="normal", p_list=(10,), rho=1.5)
+    # Integers only (bools are not), and a shipped family name or a callable.
+    for bad in (dict(n=20.5), dict(reps=True), dict(seed="abc"), dict(p_list=(10, 10.7))):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ExperimentConfig(**{"family": "normal", "p_list": (10,), **bad})
+    for family in (5, "cauchy"):
+        with pytest.raises(InvalidParameterError, match="family must be one of"):
+            ExperimentConfig(family=family, p_list=(10,))
+    assert ExperimentConfig(family="normal", p_list=(np.int64(10),)).p_list == (10,)
+
+
+def test_family_codes_are_fixed():
+    # A shipped family's substream code is part of the seeding contract.
+    codes = [_family_code(ExperimentConfig(family=f, p_list=(10,))) for f in FAMILY_NAMES]
+    assert dict(zip(FAMILY_NAMES, codes)) == {"normal": 0, "kotz": 1, "t": 2, "laplace": 3}
 
 
 def test_replication_rng_independent_of_order():

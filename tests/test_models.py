@@ -11,6 +11,7 @@ from ellipkurt import (
     InvalidParameterError,
     KotzHalf,
     ScaledF,
+    XiLaw,
     make_law,
     sample_data,
     sample_sphere,
@@ -18,6 +19,7 @@ from ellipkurt import (
     sqrt_psd,
     toeplitz_ar1,
     true_theta,
+    xi_moment,
 )
 from ellipkurt.linalg import AR1
 
@@ -119,6 +121,16 @@ def test_true_theta_values():
     assert true_theta(ScaledF(p=100, d=9)) == pytest.approx(1.4)
     assert true_theta(KotzHalf(p=100)) == pytest.approx(103 / 101)
     assert true_theta(ExpChiProduct(p=7)) == 2.0
+
+
+def test_bare_law_has_no_closed_forms():
+    class Bare(XiLaw):
+        p = 3
+
+    with pytest.raises(InvalidParameterError, match="no kurtosis known"):
+        true_theta(Bare())
+    with pytest.raises(InvalidParameterError, match="no moment formula known"):
+        xi_moment(Bare(), 2)
 
 
 def test_make_law():

@@ -24,6 +24,7 @@ from ellipkurt import (
     true_theta,
     var_centered_sq,
     var_quadform,
+    validation,
     xi_moment,
 )
 
@@ -96,23 +97,8 @@ def test_sphere_moment_dimension_mismatch():
 
 
 def test_sphere_moments_monte_carlo():
-    rng = np.random.default_rng(123)
-    p = 6
-    A = random_symmetric(p, rng)
-    B = random_symmetric(p, rng)
-    draws = 200_000
-    U = sample_sphere(p, rng, draws)
-    qa = np.einsum("ij,ij->i", U @ A, U)
-    qb = np.einsum("ij,ij->i", U @ B, U)
-    cases = [
-        (qa, sphere_moment_1(A)),
-        (qa * qb, sphere_moment_2(A, B)),
-        (qa * qa * qb, sphere_moment_3(A, A, B)),
-        (qa**4, sphere_moment_4(A)),
-    ]
-    for vals, exact in cases:
-        se = vals.std() / math.sqrt(draws)
-        assert abs(vals.mean() - exact) <= 4 * se
+    checks = validation.sphere_moments(np.random.default_rng(123), draws=200_000)
+    assert all(c.ok for c in checks), checks
 
 
 def test_xi_moment_chi2():

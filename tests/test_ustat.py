@@ -13,7 +13,6 @@ from ellipkurt import (
     make_law,
     sample_sphere,
     theta_hat,
-    ustats,
     plugin_moments_case2,
     ustats_bruteforce,
     ustats_fast,
@@ -111,15 +110,6 @@ def test_non_finite_data_rejected(f):
     X[3, 1] = np.nan
     with pytest.raises(InvalidParameterError, match="data contains non-finite"):
         f(X)
-
-
-def test_dispatcher():
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(5, 2))
-    assert ustats(X, method="fast") == ustats_fast(X)
-    assert ustats(X, method="reference") == ustats_bruteforce(X)
-    with pytest.raises(InvalidParameterError):
-        ustats(X, method="exact")
 
 
 def test_theta_hat_value():

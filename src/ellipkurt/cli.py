@@ -29,6 +29,7 @@ from .harness import (
     CI_NAMES,
     DEFAULT_SEED,
     ExperimentConfig,
+    check_seed,
     check_workers,
     load_config,
     preset_table1_desk,
@@ -54,32 +55,68 @@ EXIT_USAGE = 2
 def read_csv_matrix(path) -> np.ndarray:
     """Parse a CSV file into an (n, p) float matrix.
 
-    Comma-separated, '.' decimal point. A single leading header line is
-    auto-detected (first row with any non-numeric field) and skipped.
+    Comma-separated, '.' decimal point, UTF-8 with an optional byte-order
+    mark. Blank lines are skipped. Line 1 is a header, and skipped, when
+    ``float`` refuses any of its fields. A file that cannot be read or
+    parsed raises :class:`CsvParseError`.
+
+    The body is parsed in one ``np.loadtxt`` call, which gives the same
+    doubles as ``float`` but accepts a subset of its grammar (no ``1_0``,
+    no non-ASCII digits). Where it refuses, the line-by-line parse decides:
+    it either accepts the file or raises the error with its line number.
     """
+    lines = _read_lines(path)
+    start = 1 if _parse_row(lines[0]) is None else 0  # header (or blank) line 1
+    body = [line for line in lines[start:] if line.strip()]
+    if not body:  # loadtxt warns on empty input
+        raise CsvParseError(f"{path}: no data rows found")
+    try:
+        return np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return _parse_lines(path, lines)
+
+
+def _read_lines(path) -> list[str]:
+    """The file's lines without their line ends (universal newlines)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read().split("\n")
+    except OSError as exc:
+        raise CsvParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _parse_row(line: str) -> list[float] | None:
+    """The comma-separated fields of a line as floats, or None if ``float``
+    refuses one of them. Fields are stripped first: ``float`` itself does
+    not strip every character that ``str.strip`` does (``\\x1c``-``\\x1f``)."""
+    try:
+        return [float(f.strip()) for f in line.strip().split(",")]
+    except ValueError:
+        return None
+
+
+def _parse_lines(path, lines: list[str]) -> np.ndarray:
+    """Parse ``lines`` one at a time with ``float``: the reference grammar
+    of :func:`read_csv_matrix`, and the source of its line numbers."""
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1 and not rows:
-                    continue  # header line
-                raise CsvParseError(
-                    f"{path}: line {lineno}: non-numeric value in data row"
-                ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise CsvParseError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        values = _parse_row(line)
+        if values is None:
+            if lineno == 1:
+                continue  # header line
+            raise CsvParseError(f"{path}: line {lineno}: non-numeric value in data row")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise CsvParseError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise CsvParseError(f"{path}: no data rows found")
     return np.asarray(rows, dtype=float)
@@ -235,6 +272,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    try:
+        check_seed(args.seed)
+    except InvalidParameterError as exc:
+        raise SchemaError(f"invalid validate options: {exc}") from exc
     print(f"seed: {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = 0

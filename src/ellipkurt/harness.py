@@ -78,6 +78,15 @@ def _require_int(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; a non-integer or a negative seed raises
+    :class:`InvalidParameterError`."""
+    seed = _require_int("seed", seed)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @dataclass
 class ExperimentConfig:
     """Grid description for one family across several dimensions.
@@ -103,8 +112,9 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"family must be one of {FAMILY_NAMES} or a callable, got {self.family!r}"
             )
-        for name in ("n", "reps", "seed"):
+        for name in ("n", "reps"):
             _require_int(name, getattr(self, name))
+        check_seed(self.seed)
         self.p_list = tuple(_require_int("p", p) for p in self.p_list)
         self.methods = tuple(self.methods)
         self.ci_methods = tuple(self.ci_methods)
@@ -112,8 +122,6 @@ class ExperimentConfig:
             raise InvalidParameterError("p_list must be nonempty")
         if self.reps < 1:
             raise InvalidParameterError(f"reps must be >= 1, got {self.reps}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         z_quantile(self.alpha)  # the intervals' own check: 0 < alpha < 1
         if self.n < 4:
             raise InvalidParameterError(f"n must be >= 4, got {self.n}")
@@ -391,14 +399,20 @@ def load_config(source) -> ExperimentConfig:
     """Build a config from a JSON file path or an already-parsed mapping.
 
     Keys mirror the ExperimentConfig field names; unknown keys are
-    rejected so typos cannot silently fall back to defaults.
+    rejected so typos cannot silently fall back to defaults. A file that
+    cannot be read, or is not UTF-8 JSON, raises :class:`SchemaError`.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+        try:
+            if hasattr(source, "read"):
+                doc = json.load(source)
+            else:
+                with open(source, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+        except OSError as exc:
+            raise SchemaError(f"{source}: cannot read config: {exc.strerror or exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise SchemaError(f"{source}: not a JSON config: {exc}") from exc
     else:
         doc = source
     if not isinstance(doc, dict):

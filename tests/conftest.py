@@ -3,8 +3,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ellipkurt import linalg
+
+# Property tests draw the same examples in every process: derandomize seeds
+# hypothesis from each test function and turns off its example database.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

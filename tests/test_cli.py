@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ellipkurt import CSV_HEADER, estimate_kurtosis, validation
-from ellipkurt.cli import main, read_csv_matrix
+from ellipkurt.cli import _parse_lines, _read_lines, main, read_csv_matrix
 from ellipkurt.errors import CsvParseError
 
 
@@ -43,6 +46,93 @@ def test_read_csv_matrix_ragged_rows(tmp_path):
     path.write_text("1,2\n3,4,5\n")
     with pytest.raises(CsvParseError, match="line 2"):
         read_csv_matrix(path)
+
+
+@pytest.mark.parametrize("header", [None, "alpha,beta"])
+def test_read_csv_matrix_byte_order_mark(tmp_path, header):
+    # A BOM is not part of line 1: without a header, that line is data.
+    X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    path = tmp_path / "bom.csv"
+    write_csv(path, X, header=header)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_csv_matrix(path), X)
+
+
+def parse_both(path):
+    """(result, error message) of ``read_csv_matrix`` and of the
+    line-by-line reference parse, each a float array or a string."""
+    def outcome(parse):
+        try:
+            return parse()
+        except CsvParseError as exc:
+            return str(exc)
+
+    return (outcome(lambda: read_csv_matrix(path)),
+            outcome(lambda: _parse_lines(path, _read_lines(path))))
+
+
+def assert_same_outcome(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("alpha,beta\n\n \t\n1,2\n\n3,4\n \n", [[1, 2], [3, 4]]),
+    ("\n  \nalpha,beta\n\t\n1,2\n", "line 3: non-numeric value in data row"),
+    ("a,b\r\n 1 ,\t2\r\n3\t, 4 \r\n", [[1, 2], [3, 4]]),
+    ("1,2\n\n3,4,\n", "line 3: non-numeric value in data row"),
+    ("1,2\n\n\n3,4,5\n", "line 4: expected 2 columns, got 3"),
+    ("1_0,2\n3,4_5\n", [[10, 2], [3, 45]]),
+    ("\u0661,2\n3,\u0664\n", [[1, 2], [3, 4]]),
+    ("nan,-inf\n1e400,-nan\n", [[NAN, -INF], [INF, -NAN]]),
+    ("1,2,3\n", [[1, 2, 3]]),
+    ("x\n1\n2\n", [[1], [2]]),
+    ("", "no data rows found"),
+    ("alpha,beta\n", "no data rows found"),
+], ids=["header-blank-lines-after", "header-after-blank-lines", "crlf-spaces-tabs",
+        "trailing-comma", "ragged-after-blank-lines", "underscore", "non-ascii-digit",
+        "non-finite", "single-row", "single-column", "empty", "header-only"])
+def test_read_csv_matrix_matches_line_parse(tmp_path, text, expected):
+    # The one-pass parse and the line-by-line parse agree bit for bit, or
+    # raise the same message.
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, ref = parse_both(path)
+    assert_same_outcome(got, ref)
+    if isinstance(expected, str):
+        assert got == f"{path}: {expected}"
+    else:
+        assert_same_outcome(got, np.array(expected, dtype=float))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+@given(X=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)),
+       header=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_read_csv_matrix_round_trips_repr(csv_path, X, header):
+    write_csv(csv_path, X, header="a,b" if header else None)
+    got, ref = parse_both(csv_path)
+    assert_same_outcome(got, ref)
+    assert_same_outcome(got, X)
+
+
+@given(text=st.text(alphabet="0123456789.,+-eEinfa_ \t\r\n\x1c\xa0\u0661", max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_read_csv_matrix_matches_line_parse_on_any_text(csv_path, text):
+    # The loadtxt grammar is a subset of float's, with the same doubles.
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(*parse_both(csv_path))
 
 
 def test_estimate_matches_library(tmp_path, capsys):
@@ -95,6 +185,20 @@ def test_estimate_malformed_csv_exit_2(tmp_path, capsys):
     path.write_text("1,2\nx,y\n")
     assert main(["estimate", "--input", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"1,2\n3,\xff\n"), "not UTF-8 text"),
+], ids=["missing", "directory", "not-utf8"])
+def test_estimate_unreadable_input_exit_2(tmp_path, capsys, make, message):
+    path = tmp_path / "data.csv"
+    make(path)
+    assert main(["estimate", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and message in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("ci", [[], ["--ci", "all"], ["--ci", "laplace"]])
@@ -168,6 +272,17 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"family": "normal", "p_list": [8], "nope": 1}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "cannot read config: No such file or directory"),
+    (lambda path: path.write_text('{"family": "normal",'), "not a JSON config"),
+], ids=["missing", "broken-json"])
+def test_simulate_unreadable_config_exit_2(tmp_path, capsys, make, message):
+    cfg_path = tmp_path / "cfg.json"
+    make(cfg_path)
+    assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: {message}")
 
 
 def refused_config_error(tmp_path, capsys, bad, dry_run):
@@ -270,6 +385,13 @@ def test_validate_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "everything"])
     assert exc.value.code == 2
+
+
+def test_validate_negative_seed_exit_2(capsys):
+    assert main(["validate", "ustat", "--quick", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0, got -1" in captured.err
+    assert captured.out == ""
 
 
 def test_validate_ustat_quick(capsys):

@@ -32,6 +32,7 @@ from .harness import (
     replication_rng,
     run_coverage_experiment,
     run_estimation_experiment,
+    run_experiments,
     summarize_to_csv,
 )
 from .inference import (

@@ -34,8 +34,7 @@ from .harness import (
     load_config,
     preset_table1_desk,
     preset_table2_desk,
-    run_coverage_experiment,
-    run_estimation_experiment,
+    run_experiments,
     summarize_to_csv,
     usable_cores,
 )
@@ -251,13 +250,7 @@ def cmd_simulate(args) -> int:
     else:
         blas = "OpenBLAS held to 1 thread while replications run"
     print(f"workers: {args.workers} ({blas})")
-    est_rows = []
-    cov_rows = []
-    for cfg in configs:
-        if cfg.methods:
-            est_rows.extend(run_estimation_experiment(cfg, workers=args.workers))
-        if cfg.ci_methods:
-            cov_rows.extend(run_coverage_experiment(cfg, workers=args.workers))
+    est_rows, cov_rows = run_experiments(configs, workers=args.workers)
     if est_rows:
         path = out_dir / "estimation.csv"
         summarize_to_csv(est_rows, path)

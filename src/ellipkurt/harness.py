@@ -15,14 +15,19 @@ worker threads run the replications.
 
 Worker threads
 --------------
-The replications of an experiment run on one pool of ``workers`` threads;
-``simulate`` defaults to the cores this process may use
-(:func:`usable_cores`). Sampling and the
-Gram products spend their time in numpy and LAPACK calls that release the
-interpreter lock, so replications overlap. While a pool runs, OpenBLAS is
-held at one thread (:data:`ellipkurt.linalg.BLAS_LIMIT`): at these matrix
-sizes its own threads buy nothing and would compete with the pool for the
-same cores. A serial run leaves OpenBLAS as it is.
+A ``simulate`` call runs the replications of all of its experiments on one
+pool of ``workers`` threads (:func:`run_experiments`); ``simulate``
+defaults to the cores this process may use (:func:`usable_cores`). The
+pool takes its tasks in replication-major order: replication 0 of every
+cell (config, p), then replication 1, and so on. Small-p replications are
+mostly interpreter work, which holds the interpreter lock, while large-p
+ones spend their time in the generator and in numpy and LAPACK calls that
+release it, so threads that run at the same moment mix the two kinds and
+both cores stay busy; a pool per cell or per experiment would run the
+small-p cells alone. While the pool runs, OpenBLAS is held at one thread
+(:data:`ellipkurt.linalg.BLAS_LIMIT`): at these matrix sizes its own
+threads buy nothing and would compete with the pool for the same cores. A
+serial run leaves OpenBLAS as it is.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -55,6 +61,7 @@ __all__ = [
     "ESTIMATOR_NAMES",
     "CI_NAMES",
     "replication_rng",
+    "run_experiments",
     "run_estimation_experiment",
     "run_coverage_experiment",
     "summarize_to_csv",
@@ -191,7 +198,7 @@ def _mean_sd(values: list[float]) -> tuple[float | None, float | None]:
         warnings.warn(
             "aggregate over a single replication; SD reported as 0",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
         return mean, 0.0
     sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (k - 1))
@@ -214,21 +221,22 @@ def check_workers(workers: int) -> None:
 
 
 @contextmanager
-def _replication_map(workers: int) -> Iterator[Callable]:
-    """A ``map`` that runs the replications of one experiment, results in
-    index order.
+def _replication_map(workers: int, tasks: int) -> Iterator[Callable]:
+    """A ``map`` that runs ``tasks`` replications, results in task order.
 
-    With more than one worker it is the map of one thread pool, run with
-    OpenBLAS held at one thread; the pool's exit waits for every
-    replication before the old thread count is restored. The pool serves
-    every cell of the experiment: fresh threads per cell took fresh malloc
-    arenas and made peak RSS vary by up to 4 MB from run to run.
+    With ``min(workers, tasks) > 1`` it is the map of one pool of that many
+    threads, run with OpenBLAS held at one thread; the pool's exit waits for
+    every replication before the old thread count is restored. Otherwise
+    the replications run serially in the calling thread. One pool serves a
+    whole :func:`run_experiments` call: fresh threads per cell took fresh
+    malloc arenas and made peak RSS vary by up to 4 MB from run to run.
     """
     check_workers(workers)
-    if workers == 1:
+    threads = min(workers, tasks)
+    if threads <= 1:
         yield map
         return
-    with BLAS_LIMIT.one_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+    with BLAS_LIMIT.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         yield pool.map
 
 
@@ -237,6 +245,30 @@ def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:
     ``cfg.rho``, never formed as a matrix, and the family's radius law."""
     law = make_law(cfg.family, p) if isinstance(cfg.family, str) else cfg.family(p)
     return EllipticalSpec.create(np.zeros(p), AR1(p, cfg.rho), law)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """One cell (config, p) of an experiment: ``run(rep)`` runs replication
+    ``rep``, and ``summarize`` folds the results of replications
+    0..reps-1, in that order, into the cell's summary rows."""
+
+    reps: int
+    run: Callable[[int], dict]
+    summarize: Callable[[list[dict]], list[SummaryRow]]
+
+
+def _run_cells(cells: list[_Cell], workers: int) -> list[list[SummaryRow]]:
+    """The summary rows of every cell, cells in order, from one replication
+    map over all of their replications in replication-major order."""
+    order = [(i, rep) for rep in range(max((c.reps for c in cells), default=0))
+             for i, cell in enumerate(cells) if rep < cell.reps]
+    with _replication_map(workers, len(order)) as run_map:
+        results = list(run_map(lambda task: cells[task[0]].run(task[1]), order))
+    per_cell: list[list[dict]] = [[] for _ in cells]
+    for (i, _), result in zip(order, results):
+        per_cell[i].append(result)
+    return [cell.summarize(res) for cell, res in zip(cells, per_cell)]
 
 
 def _estimation_rep(cfg, p, spec, fam_code):
@@ -268,33 +300,35 @@ def _estimation_rep(cfg, p, spec, fam_code):
     return run
 
 
-def run_estimation_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
-    """Point-estimation study: per (p, estimator), mean and SD over
-    replications. Failed replications are counted and excluded."""
-    fam_code = _family_code(cfg)
-    rows: list[SummaryRow] = []
-    with _replication_map(workers) as run_map:
-        for p in cfg.p_list:
-            spec = _cell_spec(cfg, p)
-            results = list(run_map(_estimation_rep(cfg, p, spec, fam_code), range(cfg.reps)))
-            for m in cfg.methods:
-                values = [r[m] for r in results if r[m] is not None]
-                mean, sd = _mean_sd(values)
-                rows.append(
-                    SummaryRow(
-                        family=cfg.family_name,
-                        p=p,
-                        n=cfg.n,
-                        method=m,
-                        mean=mean,
-                        sd=sd,
-                        ecp=None,
-                        avg_width=None,
-                        reps_used=len(values),
-                        failures=cfg.reps - len(values),
-                    )
-                )
+def _estimation_rows(cfg: ExperimentConfig, p: int, results: list[dict]) -> list[SummaryRow]:
+    """Per estimator, mean and SD over the replications of cell p. Failed
+    replications are counted and excluded."""
+    rows = []
+    for m in cfg.methods:
+        values = [r[m] for r in results if r[m] is not None]
+        mean, sd = _mean_sd(values)
+        rows.append(
+            SummaryRow(
+                family=cfg.family_name,
+                p=p,
+                n=cfg.n,
+                method=m,
+                mean=mean,
+                sd=sd,
+                ecp=None,
+                avg_width=None,
+                reps_used=len(values),
+                failures=cfg.reps - len(values),
+            )
+        )
     return rows
+
+
+def _estimation_cells(cfg: ExperimentConfig) -> list[_Cell]:
+    fam_code = _family_code(cfg)
+    return [_Cell(cfg.reps, _estimation_rep(cfg, p, _cell_spec(cfg, p), fam_code),
+                  partial(_estimation_rows, cfg, p))
+            for p in cfg.p_list]
 
 
 def _coverage_rep(cfg, p, spec, fam_code):
@@ -327,40 +361,75 @@ def _coverage_rep(cfg, p, spec, fam_code):
     return run
 
 
+def _coverage_rows(cfg: ExperimentConfig, p: int, theta0: float,
+                   results: list[dict]) -> list[SummaryRow]:
+    """Per CI method, empirical coverage of the true kurtosis ``theta0`` and
+    average interval width over the replications of cell p; the mean/sd
+    columns aggregate the point estimate over the method's successful
+    replications."""
+    rows = []
+    for m in cfg.ci_methods:
+        oks = [r[m] for r in results if r[m] is not None]
+        thetas = [v[0] for v in oks]
+        covered = sum(1 for v in oks if v[1] <= theta0 <= v[2])
+        widths = [v[2] - v[1] for v in oks]
+        mean, sd = _mean_sd(thetas)
+        rows.append(
+            SummaryRow(
+                family=cfg.family_name,
+                p=p,
+                n=cfg.n,
+                method=str(CiMethod(m).value),
+                mean=mean,
+                sd=sd,
+                ecp=covered / len(oks) if oks else None,
+                avg_width=math.fsum(widths) / len(widths) if widths else None,
+                reps_used=len(oks),
+                failures=cfg.reps - len(oks),
+            )
+        )
+    return rows
+
+
+def _coverage_cells(cfg: ExperimentConfig) -> list[_Cell]:
+    if not cfg.ci_methods:
+        raise InvalidParameterError("coverage experiment needs nonempty ci_methods")
+    fam_code = _family_code(cfg)
+    cells = []
+    for p in cfg.p_list:
+        spec = _cell_spec(cfg, p)
+        cells.append(_Cell(cfg.reps, _coverage_rep(cfg, p, spec, fam_code),
+                           partial(_coverage_rows, cfg, p, spec.xi.theta())))
+    return cells
+
+
+def run_experiments(
+    configs: list[ExperimentConfig], workers: int = 1
+) -> tuple[list[SummaryRow], list[SummaryRow]]:
+    """The estimation rows of every config with ``methods`` and the
+    coverage rows of every config with ``ci_methods``, each in config and
+    then p order, from one replication map over all of their cells."""
+    est = [c for cfg in configs if cfg.methods for c in _estimation_cells(cfg)]
+    cov = [c for cfg in configs if cfg.ci_methods for c in _coverage_cells(cfg)]
+    rows = _run_cells(est + cov, workers)
+    return _concat(rows[:len(est)]), _concat(rows[len(est):])
+
+
+def _concat(row_lists: list[list[SummaryRow]]) -> list[SummaryRow]:
+    return [row for rows in row_lists for row in rows]
+
+
+def run_estimation_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
+    """Point-estimation study: per (p, estimator), mean and SD over
+    replications. Failed replications are counted and excluded."""
+    return _concat(_run_cells(_estimation_cells(cfg), workers))
+
+
 def run_coverage_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
     """Coverage study: per (p, CI method), empirical coverage of the true
     kurtosis and average interval width; mean/sd columns aggregate the
     point estimate over the method's successful replications."""
-    if not cfg.ci_methods:
-        raise InvalidParameterError("coverage experiment needs nonempty ci_methods")
-    fam_code = _family_code(cfg)
-    rows: list[SummaryRow] = []
-    with _replication_map(workers) as run_map:
-        for p in cfg.p_list:
-            spec = _cell_spec(cfg, p)
-            theta0 = spec.xi.theta()
-            results = list(run_map(_coverage_rep(cfg, p, spec, fam_code), range(cfg.reps)))
-            for m in cfg.ci_methods:
-                oks = [r[m] for r in results if r[m] is not None]
-                thetas = [v[0] for v in oks]
-                covered = sum(1 for v in oks if v[1] <= theta0 <= v[2])
-                widths = [v[2] - v[1] for v in oks]
-                mean, sd = _mean_sd(thetas)
-                rows.append(
-                    SummaryRow(
-                        family=cfg.family_name,
-                        p=p,
-                        n=cfg.n,
-                        method=str(CiMethod(m).value),
-                        mean=mean,
-                        sd=sd,
-                        ecp=covered / len(oks) if oks else None,
-                        avg_width=math.fsum(widths) / len(widths) if widths else None,
-                        reps_used=len(oks),
-                        failures=cfg.reps - len(oks),
-                    )
-                )
-    return rows
+    return _concat(_run_cells(_coverage_cells(cfg), workers))
 
 
 def _fmt(x: float | None) -> str:
@@ -396,13 +465,14 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def load_config(source) -> ExperimentConfig:
-    """Build a config from a JSON file path or an already-parsed mapping.
+    """Build a config from a JSON file (a ``str``, ``bytes`` or
+    ``os.PathLike`` path, or an open file) or an already-parsed mapping.
 
     Keys mirror the ExperimentConfig field names; unknown keys are
     rejected so typos cannot silently fall back to defaults. A file that
     cannot be read, or is not UTF-8 JSON, raises :class:`SchemaError`.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
+    if isinstance(source, (str, bytes, os.PathLike)) or hasattr(source, "read"):
         try:
             if hasattr(source, "read"):
                 doc = json.load(source)

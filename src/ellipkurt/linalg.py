@@ -24,12 +24,13 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import operator
 import os
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -287,6 +288,10 @@ def require_normal(*values: float) -> None:
         )
 
 
+_NOT_FINITE = ("statistic is not finite: the data contain non-finite values or their "
+               "scale overflows double precision when raised to the fourth power")
+
+
 def require_finite(*values: float) -> None:
     """Raise :class:`InvalidParameterError` when a result is not finite.
 
@@ -294,23 +299,57 @@ def require_finite(*values: float) -> None:
     entries are finite can still overflow double precision.
     """
     if not all(math.isfinite(v) for v in values):
-        raise InvalidParameterError(
-            "statistic is not finite: the data contain non-finite values or "
-            "their scale overflows double precision when raised to the fourth power"
-        )
+        raise InvalidParameterError(_NOT_FINITE)
+
+
+# Terms per bincount in exact_sum: any chunk of at most 2**26 keeps its sums exact.
+_SUM_CHUNK = 1 << 20
+# np.frexp exponents of finite doubles run from -1073 (for 2**-1074) to 1024.
+_EXP_BIAS = 1073
+_SUM_SCALE = 1 << (_EXP_BIAS + 53)
 
 
 def exact_sum(a) -> float:
-    """math.fsum of the entries of ``a``: exact and independent of order.
+    """The sum of the entries of ``a``, correctly rounded: ``math.fsum``'s
+    result bit for bit, whatever the order of the entries.
 
-    An infinite, NaN or overflowing sum raises :class:`InvalidParameterError`.
+    ``np.frexp`` writes each entry as x = t * 2**(e - 26) with
+    |t| < 2**26 a multiple of 2**-27. Its floor h is an integer with
+    |h| <= 2**26 and f = t - h a multiple of 2**-27 in [0, 1); both are
+    exact. Per exponent e, ``np.bincount`` sums the h's and the f's in
+    float64: over at most 2**26 terms every partial sum of h's is an integer
+    below 2**52 in magnitude and every partial sum of f's a multiple of
+    2**-27 below 2**26, so each is exact in any order. The bucket totals,
+    one per exponent from the smallest to the largest present, are then
+    added exactly as Python integers in units of 2**-1126, and the one
+    rounding of the whole computation is the correctly rounded integer
+    division that turns that count back into a double.
+
+    A non-finite entry, or a sum whose rounding overflows, raises
+    :class:`InvalidParameterError`. Unlike ``math.fsum``, whose running
+    partial sums can overflow for some orders of mixed-sign entries near
+    the top of the double range, the result never depends on the order.
     """
-    try:
-        out = math.fsum(np.ravel(a).tolist())
+    x = np.asarray(a, dtype=float).reshape(-1)  # a view where the layout allows
+    total = 0  # the sum in units of 2**-1126
+    for start in range(0, x.size, _SUM_CHUNK):
+        chunk = x[start:start + _SUM_CHUNK]
+        if not np.isfinite(chunk).all():
+            raise InvalidParameterError(_NOT_FINITE)
+        mant, exp = np.frexp(chunk)
+        low = int(exp.min())
+        exp -= low  # bucket k holds exponent low + k
+        t = mant * 2.0**26
+        h = np.floor(t)
+        t -= h
+        for sums, shift in ((np.bincount(exp, h), 27), (np.bincount(exp, t) * 2.0**27, 0)):
+            first = low + _EXP_BIAS + shift
+            total += sum(map(operator.lshift, sums.astype(np.int64).tolist(),
+                             range(first, first + sums.size)))
+    try:  # a zero sum is +0.0, as with fsum, all-negative-zero input included
+        return total / _SUM_SCALE
     except OverflowError:
-        out = math.inf
-    require_finite(out)
-    return out
+        raise InvalidParameterError(_NOT_FINITE) from None
 
 
 def as_data_matrix(X) -> tuple[np.ndarray, float]:
@@ -328,29 +367,6 @@ def as_data_matrix(X) -> tuple[np.ndarray, float]:
         raise InvalidParameterError("data contains non-finite values")
     # max(hi, -lo) is max |X| except that it can be -0.0; abs makes it 0.0.
     return X, abs(max(hi, -lo))
-
-
-@lru_cache(maxsize=8)
-def _upper_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices of the strict upper triangle of a k x k matrix."""
-    rows, cols = np.triu_indices(k, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
-def frobenius_sq(M) -> float:
-    """||M||_F^2 of an exactly symmetric M, summed over one triangle.
-
-    The diagonal squares and the doubled squares above the diagonal are one
-    :func:`exact_sum`. Doubling is exact and fsum is correctly rounded, so
-    the result is bit for bit ``exact_sum(M * M)``, at half the terms.
-    """
-    M = np.asarray(M, dtype=float)
-    # An overflow shows as inf and raises through exact_sum.
-    with np.errstate(over="ignore"):
-        upper = M[_upper_indices(M.shape[0])]
-        return exact_sum(np.concatenate((np.diagonal(M) ** 2, 2.0 * (upper * upper))))
 
 
 def centered_gram(X) -> CenteredGram:
@@ -386,7 +402,7 @@ def centered_gram(X) -> CenteredGram:
         # is exactly symmetric on either side without averaging.
         M = Xc.T @ Xc if p < n else Xc @ Xc.T
         cg = CenteredGram(n=n, p=p, x_max=x_max, g=g, M=M,
-                          T=exact_sum(g), t=exact_sum(g * g), W=frobenius_sq(M))
+                          T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
     if np.any(Xc):
         require_normal(cg.t)
     return cg

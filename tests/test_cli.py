@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ellipkurt import CSV_HEADER, estimate_kurtosis, validation
+from ellipkurt import CSV_HEADER, estimate_kurtosis, harness, validation
 from ellipkurt.cli import _parse_lines, _read_lines, main, read_csv_matrix
 from ellipkurt.errors import CsvParseError
 
@@ -368,6 +369,26 @@ def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
     assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
 
 
+@pytest.mark.filterwarnings("ignore:aggregate over a single replication")
+def test_simulate_preset_runs_one_pool_and_one_blas_hold(tmp_path, capsys, fake_blas,
+                                                        monkeypatch):
+    # Every config and cell of a preset shares one pool, started with no more
+    # threads than asked for, and OpenBLAS is held at one thread once.
+    pools = []
+
+    class CountingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    args = ["simulate", "--preset", "table2-desk", "--reps", "2", "--workers", "2",
+            "--out-dir", str(tmp_path / "res")]
+    assert main(args) == 0
+    assert pools == [2]
+    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+
+
 def test_simulate_reports_why_blas_is_not_limited(tmp_path, capsys, fake_blas):
     fake_blas.libs = []
     args = ["simulate", "--family", "normal", "--p", "8", "--n", "16", "--reps", "2",
@@ -441,5 +462,27 @@ def test_simulate_preset_end_to_end(tmp_path, capsys, preset, csv_name):
         fields = line.split(",")
         assert int(fields[8]) + int(fields[9]) == 2
     # The default worker count is the usable cores; it must not matter.
-    assert run("b", "--workers", "1") == first
-    assert run("c", "--workers", "2") == first
+    for workers in ("1", "2", "8"):
+        assert run(f"w{workers}", "--workers", workers) == first
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.filterwarnings("ignore:aggregate over a single replication")
+@pytest.mark.parametrize(
+    "preset, reps, golden",
+    [("table1-desk", "3", "table1-desk-reps3-seed7-estimation.csv"),
+     ("table2-desk", "6", "table2-desk-reps6-seed7-coverage.csv")],
+)
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
+def test_simulate_preset_matches_golden_csv(tmp_path, capsys, preset, reps, golden, workers):
+    # Seeded preset CSVs are a fixed contract: byte for byte the committed
+    # outputs, at any worker count. A change to the draws, the statistics
+    # or the aggregation that moves any printed digit fails here.
+    out_dir = tmp_path / "out"
+    args = ["simulate", "--preset", preset, "--reps", reps, "--seed", "7",
+            "--workers", workers, "--out-dir", str(out_dir)]
+    assert main(args) == 0
+    csv_name = golden.rpartition("-")[2]
+    assert (out_dir / csv_name).read_bytes() == (DATA / golden).read_bytes()

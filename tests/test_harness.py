@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from ellipkurt import (
     replication_rng,
     run_coverage_experiment,
     run_estimation_experiment,
+    run_experiments,
     summarize_to_csv,
 )
-from ellipkurt import linalg
+from ellipkurt import harness, linalg
 from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code, _replication_map
 
 
@@ -230,6 +232,20 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.rho == 0.4
 
 
+def test_load_config_accepts_any_path_like(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "kotz", "p_list": [10, 20], "reps": 5}))
+    want = load_config(str(path))
+    assert load_config(path) == want
+    assert load_config(os.fsencode(path)) == want
+
+
+def test_load_config_missing_path_is_a_schema_error(tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(SchemaError, match="nope.json: cannot read config"):
+        load_config(path)
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"family": "normal", "p_list": [10], "repz": 3}))
@@ -290,14 +306,37 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
 def test_one_gram_summary_per_replication(gram_builds):
     # Every statistic of a replication reads the one summary built from its
     # sample: theta_hat and wl_plugin in the estimation loop, theta_hat and
-    # the case-2 plug-ins in the coverage loop.
+    # the case-2 plug-ins in the coverage loop. Replications run rep-major.
     cfg = small_config(reps=3)
     run_estimation_experiment(cfg)
-    assert gram_builds == [(cfg.n, p) for p in cfg.p_list for _ in range(cfg.reps)]
+    assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
     gram_builds.clear()
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
     run_coverage_experiment(cfg)
-    assert gram_builds == [(cfg.n, p) for p in cfg.p_list for _ in range(cfg.reps)]
+    assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
+
+
+def test_one_call_runs_every_cell_rep_major(monkeypatch):
+    # Replication 0 of every cell of every config, then replication 1, and so
+    # on; a cell with fewer replications drops out. The rows are those of
+    # running each experiment on its own.
+    seen = []
+    real = replication_rng
+
+    def recording(seed, family_code, p, rep):
+        seen.append((family_code, p, rep))
+        return real(seed, family_code, p, rep)
+
+    est = small_config(reps=3)
+    cov = small_config(family="laplace", p_list=(10,), reps=2, methods=(),
+                       ci_methods=("laplace", "case1"))
+    alone = (run_estimation_experiment(est), run_coverage_experiment(cov))
+    monkeypatch.setattr(harness, "replication_rng", recording)
+    assert run_experiments([est, cov]) == alone
+    normal, laplace = FAMILY_NAMES.index("normal"), FAMILY_NAMES.index("laplace")
+    assert seen == [(normal, 10, 0), (normal, 15, 0), (laplace, 10, 0),
+                    (normal, 10, 1), (normal, 15, 1), (laplace, 10, 1),
+                    (normal, 10, 2), (normal, 15, 2)]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -326,13 +365,13 @@ def test_pooled_replications_run_with_one_blas_thread():
             lib.set(2)
         raising = False
         for workers, inside in ((2, 1), (1, 2)):
-            with _replication_map(workers) as run_map:
+            with _replication_map(workers, 12) as run_map:
                 for _ in range(2):  # two cells
                     assert list(run_map(counts, range(6))) == [[inside] * len(libs)] * 6
             assert [lib.get() for lib in libs] == [2] * len(libs)
         raising = True
         with pytest.raises(RuntimeError, match="replication failed"):
-            with _replication_map(2) as run_map:
+            with _replication_map(2, 6) as run_map:
                 list(run_map(counts, range(6)))
         assert [lib.get() for lib in libs] == [2] * len(libs)
     finally:

@@ -2,10 +2,11 @@ import contextlib
 import math
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellipkurt import (
@@ -24,7 +25,6 @@ from ellipkurt.linalg import (
     as_data_matrix,
     centered_gram,
     exact_sum,
-    frobenius_sq,
 )
 
 
@@ -255,36 +255,94 @@ def test_x_max_is_max_abs_bit_for_bit(kind):
     assert centered_gram(X).x_max.hex() == want
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 100])
-def test_frobenius_sq_is_the_full_sum(k):
-    # The triangle sum is exact_sum(M * M) bit for bit, and overflows exactly
-    # when it does: from subnormal squares up to and past the overflow edge.
-    A = np.random.default_rng(k).normal(size=(k, k))
-    M0 = A + A.T
-    W0 = exact_sum(M0 * M0)
-    big = float(np.finfo(float).max)
-    edge = [math.sqrt(f * big) / math.sqrt(W0) for f in (0.5, 0.999999, 1.000001, 2.0)]
-    for scale in [1e-160, 1e-150, 1e-3, 1.0, 1e3, 1e150] + edge:
-        M = M0 * scale
-        with np.errstate(over="ignore"):
-            full = M * M
-        try:
-            want = exact_sum(full)
-        except InvalidParameterError:
+BIG = float(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 7), (9, 4), (100, 100)])
+def test_centered_gram_w_is_the_full_sum(n, p):
+    # W is math.fsum over every squared entry of M, bit for bit, from data
+    # whose fourth powers are near the underflow edge up to the overflow
+    # edge, past which it raises a typed error.
+    X0 = np.random.default_rng(n * p).normal(size=(n, p))
+    W0 = centered_gram(X0).W
+    edge = [(f / W0) ** 0.25 * BIG**0.25 for f in (0.5, 0.999999)]
+    for scale in [1e-70, 1e-3, 1.0, 1e3, 1e70] + edge:
+        cg = centered_gram(X0 * scale)
+        assert cg.W.hex() == math.fsum((cg.M * cg.M).ravel().tolist()).hex()
+    with pytest.raises(InvalidParameterError):
+        centered_gram(X0 * (2.0 / W0) ** 0.25 * BIG**0.25)
+
+
+def correctly_rounded_sum(values: list[float]) -> float | None:
+    """math.fsum of ``values``, None where the rounded sum overflows.
+
+    fsum raises OverflowError also where one of its running partial sums
+    overflows, which for mixed signs near the top of the range depends on
+    the order (``[max, max, -max]`` raises, ``[max, -max, max]`` does not).
+    There the exact rational sum, correctly rounded, is the reference.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        pass
+    try:
+        return float(sum(map(Fraction, values), Fraction(0)))
+    except OverflowError:
+        return None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Every binary exponent equally likely, subnormals and the overflow edge included.
+SCALED = st.builds(math.ldexp, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.integers(-1074, 1024))
+HALF_ULP_OF_MAX = 2.0**970
+EDGE = math.sqrt(BIG / 2)
+
+
+@given(values=st.lists(st.one_of(FINITE, SCALED), max_size=40))
+@example(values=[])
+@example(values=[-0.0])
+@example(values=[-0.0, -0.0, -0.0])
+@example(values=[0.0, -0.0])
+@example(values=[5e-324, -5e-324, 5e-324])
+@example(values=[BIG, BIG, -BIG])
+@example(values=[BIG / 2, BIG / 2])
+@example(values=[BIG, HALF_ULP_OF_MAX])
+@example(values=[BIG, HALF_ULP_OF_MAX, -5e-324])
+@example(values=[EDGE * EDGE, EDGE * EDGE])
+@example(values=[(EDGE * (1 + 2**-40)) ** 2] * 2)
+@settings(max_examples=400, deadline=None)
+def test_exact_sum_is_fsum(values):
+    # Bit for bit (hex tells -0.0 from 0.0) in either order; a typed error
+    # exactly where the rounded sum overflows.
+    want = correctly_rounded_sum(values)
+    for order in (values, values[::-1]):
+        if want is None:
             with pytest.raises(InvalidParameterError):
-                frobenius_sq(M)
+                exact_sum(np.array(order, dtype=float))
         else:
-            assert frobenius_sq(M) == want
-    # A single doubled off-diagonal square crosses the edge with the full sum.
-    for a in (math.sqrt(big / 2), math.sqrt(big / 2) * (1 + 2**-40)):
-        M = np.array([[0.0, a], [a, 0.0]])
-        try:
-            want = exact_sum(M * M)
-        except InvalidParameterError:
-            with pytest.raises(InvalidParameterError):
-                frobenius_sq(M)
-        else:
-            assert frobenius_sq(M) == want
+            assert exact_sum(np.array(order, dtype=float)).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "values", [[np.inf, -np.inf], [np.nan], [1.0, np.inf], [-np.inf, 2.0, 3.0]],
+    ids=["inf-inf", "nan", "inf", "-inf"],
+)
+def test_exact_sum_rejects_non_finite_entries(values):
+    # The typed error is the only signal: no numpy warning of any kind.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            exact_sum(np.array(values))
+
+
+def test_exact_sum_stays_exact_past_2_pow_26_terms():
+    # The largest mantissa puts the most bits in both halves of every term,
+    # so summing more than 2**26 of them in one bucket would round. The
+    # input is a stride-0 view: no 512 MB array is made.
+    v = math.nextafter(2.0, 0.0)
+    x = np.broadcast_to(v, (2**26 + 3,))
+    assert exact_sum(x) == float(Fraction(v) * x.size)
 
 
 def rel_norm(a, b):

@@ -29,9 +29,10 @@ def oracle_theta(X, mu, sigma) -> float:
     ``sigma`` is a covariance object (:class:`ellipkurt.linalg.AR1` or
     :class:`ellipkurt.linalg.Dense`) or a dense matrix. The Mahalanobis
     norms are squared norms of the whitened rows L^{-1} (X_i - mu), never
-    an explicit inverse: O(n p) for AR(1), a triangular solve on the
-    Cholesky factor for a dense matrix. A covariance object keeps its
-    factor, so passing the same one each replication factors it once.
+    an explicit inverse (``whitened_sq_norms``): O(n p) from one
+    difference array for AR(1), a triangular solve on the Cholesky factor
+    for a dense matrix. A covariance object keeps its factor, so passing
+    the same one each replication factors it once. X is left as it is.
     """
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float).reshape(-1)
@@ -45,8 +46,7 @@ def oracle_theta(X, mu, sigma) -> float:
         raise InvalidParameterError(f"sigma is {cov.p} x {cov.p}, data has p={p}")
     # Every harness cell has mu = 0: whitening X itself saves an n x p copy
     # and is bit-identical, as q reads only squares (the sign of a zero).
-    Y = cov.whiten(X if not np.any(mu) else X - mu)
-    q = np.einsum("ij,ij->i", Y, Y)
+    q = cov.whitened_sq_norms(X if not np.any(mu) else X - mu)
     return math.fsum(q * q) / (n * p * (p + 2))
 
 

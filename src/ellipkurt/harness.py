@@ -274,27 +274,30 @@ def _run_cells(cells: list[_Cell], workers: int) -> list[list[SummaryRow]]:
 def _estimation_rep(cfg, p, spec, fam_code):
     def run(rep: int) -> dict[str, float | None]:
         rng = replication_rng(cfg.seed, fam_code, p, rep)
-        out: dict[str, float | None] = {}
         try:
             X = sample_data(spec, cfg.n, rng)
         except EllipkurtError:
             return {m: None for m in cfg.methods}
-        # The first statistic that reads the centered Gram summary builds it
-        # from X and the next one reuses it; the oracle reads X itself, so it
-        # still runs when the summary fails.
-        cg = X
-        for m in cfg.methods:
+        out: dict[str, float | None] = dict.fromkeys(cfg.methods)  # None: failed
+        # The oracle reads X itself, so it runs first, and still runs when
+        # the centered Gram summary fails. The summary then centers X in
+        # place, as nothing reads the raw sample after it, and the other
+        # estimators read the summary.
+        if "oracle" in out:
             try:
-                if m == "oracle":
-                    out[m] = oracle_theta(X, spec.mu, spec.sigma)
-                    continue
-                cg = centered_gram(cg)
-                if m == "theta_hat":
-                    out[m] = theta_hat(ustats_fast(cg)).theta_hat
-                elif m == "wl_plugin":
-                    out[m] = wl_theta(cg)
+                out["oracle"] = oracle_theta(X, spec.mu, spec.sigma)
             except EllipkurtError:
-                out[m] = None
+                pass
+        gram_methods = [m for m in cfg.methods if m != "oracle"]
+        try:
+            cg = centered_gram(X, overwrite_x=True) if gram_methods else None
+        except EllipkurtError:
+            return out
+        for m in gram_methods:
+            try:
+                out[m] = theta_hat(ustats_fast(cg)).theta_hat if m == "theta_hat" else wl_theta(cg)
+            except EllipkurtError:
+                pass
         return out
 
     return run
@@ -338,8 +341,8 @@ def _coverage_rep(cfg, p, spec, fam_code):
         """Per method: (theta_hat, lower, upper) or None on failure."""
         rng = replication_rng(cfg.seed, fam_code, p, rep)
         try:
-            X = sample_data(spec, cfg.n, rng)
-            cg = centered_gram(X)
+            # The summary centers the sample in place: nothing reads X after it.
+            cg = centered_gram(sample_data(spec, cfg.n, rng), overwrite_x=True)
             est = theta_hat(ustats_fast(cg))
         except EllipkurtError:
             return {m: None for m in cfg.ci_methods}

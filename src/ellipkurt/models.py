@@ -5,9 +5,12 @@ covariance (A A' = sigma), u is uniform on the unit sphere and xi >= 0 is
 an independent radius. The covariance object chooses A: the closed-form
 Cholesky factor for AR(1) (:class:`ellipkurt.linalg.AR1`, O(p) per row)
 and the symmetric square root for a dense matrix. Every root gives the
-same law, because u is rotation invariant. All shipped squared-radius laws
-are normalized so that E xi^2 = p, the identifiability convention used
-throughout the package.
+same law, because u is rotation invariant. :func:`sample_data` computes a
+row as mu + A (c z) with z a vector of standard normals and
+c = xi / ||z||: one scaling of the normals, then the root, in place for
+AR(1), then the location, which is skipped when it is zero. All shipped
+squared-radius laws are normalized so that E xi^2 = p, the
+identifiability convention used throughout the package.
 
 Four families are provided, named after the multivariate distribution they
 induce:
@@ -259,7 +262,7 @@ class EllipticalSpec:
     """Generative description of an elliptical model.
 
     Holds the location, the covariance object ``sigma`` and the
-    squared-radius law. Sampling goes through ``sigma.apply_root``. Build
+    squared-radius law. Sampling goes through ``sigma.scaled_root``. Build
     via :meth:`create`.
     """
 
@@ -292,22 +295,31 @@ class EllipticalSpec:
         return self.sigma.p
 
 
+def _normal_rows(p: int, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """An (m, p) array of standard normal draws and its row norms.
+
+    The norms come from one ``einsum`` reduction, with no m x p temporary.
+    The measure-zero event of a row that is exactly zero is handled by
+    redrawing that row.
+    """
+    Z = rng.standard_normal((m, p))
+    norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    while not norms.all():
+        bad = norms == 0.0
+        Z[bad] = rng.standard_normal((int(bad.sum()), p))
+        norms = np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    return Z, norms
+
+
 def sample_sphere(p: int, rng: np.random.Generator, size: int | None = None):
     """Uniform draws from the unit sphere in R^p.
 
     A standard Gaussian vector is normalized, which is rotation invariant
-    by construction. The measure-zero event of an exactly zero Gaussian
-    draw is handled by redrawing. Returns shape (p,) for ``size=None``,
-    else (size, p).
+    by construction; a zero vector is redrawn. Returns shape (p,) for
+    ``size=None``, else (size, p).
     """
     _check_dim(p)
-    m = 1 if size is None else int(size)
-    Z = rng.normal(size=(m, p))
-    norms = np.linalg.norm(Z, axis=1)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        Z[bad] = rng.normal(size=(int(bad.sum()), p))
-        norms = np.linalg.norm(Z, axis=1)
+    Z, norms = _normal_rows(p, rng, 1 if size is None else int(size))
     Z /= norms[:, None]
     return Z[0] if size is None else Z
 
@@ -320,15 +332,19 @@ def sample_xi(law: XiLaw, rng: np.random.Generator, size: int | None = None):
 def sample_data(spec: EllipticalSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an (n, p) data matrix of independent rows from the model.
 
-    Draw order is fixed for reproducibility: all n radii first, then the
-    n sphere directions. The radius and the location are applied in place
-    on the new array that ``apply_root`` returns, in the order of
-    mu + xi * (A @ u), so no n x p temporary is made.
+    Draw order is fixed for reproducibility: all n radii xi_i first, then
+    the n rows z_i of standard normals. Row i of X is
+    mu + A (c_i z_i) with c_i = xi_i / ||z_i||, the same law as
+    mu + xi_i A u_i. ``sigma.scaled_root`` folds c_i into its one scaling
+    pass and, for AR(1), overwrites the normals with the sample, so no
+    second n x p array is made. The location is added only when it is
+    nonzero; adding a zero would change at most the sign of a zero entry.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     xi = sample_xi(spec.xi, rng, n)
-    X = spec.sigma.apply_root(sample_sphere(spec.p, rng, n))
-    X *= xi[:, None]
-    X += spec.mu
+    Z, norms = _normal_rows(spec.p, rng, n)
+    X = spec.sigma.scaled_root(Z, xi / norms)
+    if np.any(spec.mu):
+        X += spec.mu
     return X

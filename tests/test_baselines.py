@@ -90,11 +90,17 @@ def test_oracle_dense_matches_cholesky_solve():
                          ids=["zero", "negative-zero", "nonzero"])
 def test_oracle_whitens_x_itself_when_mu_is_zero(cov, mu):
     # Skipping the shift for mu = 0 is bit-identical to whitening X - mu,
-    # and X is left as it is.
+    # and X is left as it is. AR(1) forms the squared norms from the
+    # differences y_j - rho y_{j-1}, divided once by 1 - rho^2.
     X = np.random.default_rng(5).normal(size=(12, 9))
     before = X.copy()
-    Y = cov.whiten(X - mu)
-    q = np.einsum("ij,ij->i", Y, Y)
+    Y = X - mu
+    if isinstance(cov, AR1):
+        D = Y[:, 1:] - cov.rho * Y[:, :-1]
+        q = Y[:, 0] * Y[:, 0] + np.einsum("ij,ij->i", D, D) / (1.0 - cov.rho * cov.rho)
+    else:
+        W = cov.whiten(Y)
+        q = np.einsum("ij,ij->i", W, W)
     assert oracle_theta(X, mu, cov) == math.fsum(q * q) / (12 * 9 * 11)
     assert np.array_equal(X, before)
 

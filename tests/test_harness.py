@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,17 @@ from ellipkurt import (
     summarize_to_csv,
 )
 from ellipkurt import harness, linalg
-from ellipkurt.harness import _cell_spec, _estimation_rep, _family_code, _replication_map
+from ellipkurt.baselines import oracle_theta, wl_theta
+from ellipkurt.harness import (
+    _cell_spec,
+    _coverage_rep,
+    _estimation_rep,
+    _family_code,
+    _replication_map,
+)
+from ellipkurt.inference import plugin_moments_case2
+from ellipkurt.models import sample_data
+from ellipkurt.ustat import ustats_fast
 
 
 class ZeroRadius(XiLaw):
@@ -314,6 +325,52 @@ def test_one_gram_summary_per_replication(gram_builds):
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
     run_coverage_experiment(cfg)
     assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
+
+
+@pytest.mark.parametrize("make_rep, cfg, bound", [
+    (_estimation_rep, dict(), 2.1),
+    (_coverage_rep, dict(methods=(), ci_methods=("t", "case1", "case2")), 1.5),
+], ids=["estimation", "coverage"])
+def test_replication_peak_memory(make_rep, cfg, bound):
+    # A replication at n=100, p=1600 holds one n x p array for the sample,
+    # which is centered in place, plus, for estimation, one n x (p - 1)
+    # difference array in the oracle. The peak is in units of one n x p
+    # float64 array; a warm-up replication runs first.
+    n, p = 100, 1600
+    cfg = ExperimentConfig(family="t", p_list=(p,), n=n, reps=2, seed=11, **cfg)
+    run = make_rep(cfg, p, _cell_spec(cfg, p), _family_code(cfg))
+    run(0)
+    tracemalloc.start()
+    try:
+        out = run(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(v is not None for v in out.values())
+    assert peak <= bound * n * p * 8
+
+
+def test_statistics_leave_their_data_as_they_are():
+    # Only the harness, which owns its sample, lets the Gram summary center
+    # in place; every entry point that is handed an array leaves it alone.
+    cfg = small_config()
+    spec = _cell_spec(cfg, 10)
+    mu_before = spec.mu.copy()
+    X = sample_data(spec, 20, np.random.default_rng(3)) + 1.5
+    before = X.copy()
+    calls = [
+        lambda: linalg.centered_gram(X),
+        lambda: ustats_fast(X),
+        lambda: wl_theta(X),
+        lambda: plugin_moments_case2(X),
+        lambda: oracle_theta(X, np.full(10, 1.5), spec.sigma),
+        lambda: oracle_theta(X, np.zeros(10), spec.sigma),
+        lambda: oracle_theta(X, np.zeros(10), linalg.toeplitz_ar1(10, cfg.rho)),
+    ]
+    for call in calls:
+        call()
+        assert np.array_equal(X, before)
+    assert np.array_equal(spec.mu, mu_before)
 
 
 def test_one_call_runs_every_cell_rep_major(monkeypatch):

@@ -273,6 +273,24 @@ def test_centered_gram_w_is_the_full_sum(n, p):
         centered_gram(X0 * (2.0 / W0) ** 0.25 * BIG**0.25)
 
 
+@pytest.mark.parametrize("n, p", [(9, 4), (4, 9)])
+def test_centered_gram_overwrite_x_centers_in_place(n, p):
+    # The same summary bit for bit, and X then holds the centered rows; a
+    # non-float64 X is converted, so only the copy is centered.
+    X = np.random.default_rng(n).normal(size=(n, p)) + 3.0
+    want = centered_gram(X)
+    Xc = X - X[0]
+    Xc -= Xc.mean(axis=0)
+    got = centered_gram(X, overwrite_x=True)
+    assert np.array_equal(X, Xc)
+    for name in ("x_max", "T", "t", "W"):
+        assert getattr(got, name) == getattr(want, name)
+    assert np.array_equal(got.g, want.g) and np.array_equal(got.M, want.M)
+    ints = np.arange(n * p).reshape(n, p)
+    centered_gram(ints, overwrite_x=True)
+    assert np.array_equal(ints, np.arange(n * p).reshape(n, p))
+
+
 def correctly_rounded_sum(values: list[float]) -> float | None:
     """math.fsum of ``values``, None where the rounded sum overflows.
 
@@ -314,14 +332,17 @@ EDGE = math.sqrt(BIG / 2)
 @settings(max_examples=400, deadline=None)
 def test_exact_sum_is_fsum(values):
     # Bit for bit (hex tells -0.0 from 0.0) in either order; a typed error
-    # exactly where the rounded sum overflows.
-    want = correctly_rounded_sum(values)
-    for order in (values, values[::-1]):
-        if want is None:
-            with pytest.raises(InvalidParameterError):
-                exact_sum(np.array(order, dtype=float))
-        else:
-            assert exact_sum(np.array(order, dtype=float)).hex() == want.hex()
+    # exactly where the rounded sum overflows. The list is also tiled past
+    # the length up to which exact_sum calls fsum, so both paths are checked.
+    tiled = values * (linalg._FSUM_TERMS // max(len(values), 1) + 1)
+    for terms in (values, tiled):
+        want = correctly_rounded_sum(terms)
+        for order in (terms, terms[::-1]):
+            if want is None:
+                with pytest.raises(InvalidParameterError):
+                    exact_sum(np.array(order, dtype=float))
+            else:
+                assert exact_sum(np.array(order, dtype=float)).hex() == want.hex()
 
 
 @pytest.mark.parametrize(

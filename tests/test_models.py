@@ -65,6 +65,37 @@ def test_sphere_coordinate_moments():
     assert abs(np.mean(U[:, 0] ** 2) - 0.1) <= 0.01
 
 
+class ZeroRowFirst:
+    """Generator stub: the first block of normals has an all-zero row 1."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.calls.append(size)
+        Z = self.rng.standard_normal(size)
+        if len(self.calls) == 1:
+            Z[1] = 0.0
+        return Z
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_zero_normal_row_is_redrawn():
+    # A row of exactly zero normals has no direction: the sphere and the
+    # sampler redraw only that row.
+    rng = ZeroRowFirst(4)
+    U = sample_sphere(5, rng, 3)
+    assert rng.calls == [(3, 5), (1, 5)]
+    assert np.all(np.abs(np.linalg.norm(U, axis=1) - 1.0) <= 1e-12)
+    spec = EllipticalSpec.create(np.zeros(5), AR1(5, 0.5), ChiSquared(p=5))
+    rng = ZeroRowFirst(4)
+    X = sample_data(spec, 3, rng)
+    assert rng.calls == [(3, 5), (1, 5)]
+    assert np.all(np.linalg.norm(X, axis=1) > 0.0)
+
+
 def test_sphere_invalid_p():
     with pytest.raises(InvalidParameterError):
         sample_sphere(0, np.random.default_rng(0))
@@ -204,17 +235,17 @@ def test_sample_data_rejects_bad_n():
         sample_data(spec, 0, np.random.default_rng(0))
 
 
-def ar1_recursion(U, rho, fused):
-    """x_0 = u_0 and x_j = s u_j + rho x_{j-1}, one column at a time.
+def ar1_recursion(Z, c, rho, fused):
+    """x_0 = c z_0 and x_j = (c s) z_j + rho x_{j-1}, one column at a time.
 
     With ``fused`` the multiply-add is rounded once, as a BLAS kernel with
     FMA computes it: the exact value as a fraction, then one rounding.
     """
-    s = math.sqrt(1.0 - rho * rho)
-    X = np.empty_like(U)
-    X[:, 0] = U[:, 0]
-    for j in range(1, U.shape[1]):
-        b = s * U[:, j]
+    cs = c * math.sqrt(1.0 - rho * rho)
+    X = np.empty_like(Z)
+    X[:, 0] = c * Z[:, 0]
+    for j in range(1, Z.shape[1]):
+        b = cs * Z[:, j]
         if fused:
             X[:, j] = [float(Fraction(bi) + Fraction(rho) * Fraction(xi))
                        for bi, xi in zip(b.tolist(), X[:, j - 1].tolist())]
@@ -224,25 +255,26 @@ def ar1_recursion(U, rho, fused):
 
 
 def sample_by_hand(spec, n, seed):
-    """Radii first, then normals divided by their row norms."""
+    """Radii first, then the normals z_i, and the row scales
+    c_i = xi_i / ||z_i|| with the norms from one einsum of squares."""
     rng = np.random.default_rng(seed)
     xi = np.sqrt(spec.xi.sample_squared(rng, n))
-    Z = rng.normal(size=(n, spec.p))
-    return xi, Z / np.linalg.norm(Z, axis=1)[:, None]
+    Z = rng.standard_normal((n, spec.p))
+    return xi / np.sqrt(np.einsum("ij,ij->i", Z, Z)), Z
 
 
 @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
 @pytest.mark.parametrize("p", [1, 2, 17, 1600])
 def test_sample_data_ar1_bit_identical_to_recursion(p, rho):
-    # mu + xi * L u with L u the AR(1) recursion, bit for bit; whether the
+    # mu + L (c z) with L the AR(1) recursion, bit for bit; whether the
     # BLAS kernel fuses the multiply-add depends on the CPU, so either
     # rounding passes, but the whole sample must match one of them.
     n, seed = 4, p * 100 + int(rho * 10)
     mu = np.linspace(-3.0, 5.0, p)
     spec = EllipticalSpec.create(mu, AR1(p, rho), KotzHalf(p=p))
     X = sample_data(spec, n, np.random.default_rng(seed))
-    xi, U = sample_by_hand(spec, n, seed)
-    wants = [mu + xi[:, None] * ar1_recursion(U, rho, fused) for fused in (False, True)]
+    c, Z = sample_by_hand(spec, n, seed)
+    wants = [mu + ar1_recursion(Z, c, rho, fused) for fused in (False, True)]
     assert any(np.array_equal(X, want) for want in wants)
 
 
@@ -252,5 +284,5 @@ def test_sample_data_dense_bit_identical():
     sigma = toeplitz_ar1(p, 0.3) + np.diag(np.linspace(0.0, 1.0, p))
     spec = EllipticalSpec.create(mu, sigma, ChiSquared(p=p))
     X = sample_data(spec, n, np.random.default_rng(seed))
-    xi, U = sample_by_hand(spec, n, seed)
-    assert np.array_equal(X, mu + xi[:, None] * (U @ sqrt_psd(sigma)))
+    c, Z = sample_by_hand(spec, n, seed)
+    assert np.array_equal(X, mu + (c[:, None] * Z) @ sqrt_psd(sigma))

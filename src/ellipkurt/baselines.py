@@ -12,12 +12,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError, InvalidParameterError
-from .linalg import as_covariance, centered_gram, require_finite
+from .linalg import as_covariance, centered_gram, exact_sum, require_finite
 
 __all__ = ["oracle_theta", "wl_theta"]
 
@@ -33,12 +31,17 @@ def oracle_theta(X, mu, sigma) -> float:
     difference array for AR(1), a triangular solve on the Cholesky factor
     for a dense matrix. A covariance object keeps its factor, so passing
     the same one each replication factors it once. X is left as it is.
+    Raises :class:`InvalidParameterError` for data without rows and when
+    the result is not finite (non-finite data, or a scale whose fourth
+    power overflows); finite data get no extra pass to check them.
     """
     X = np.asarray(X, dtype=float)
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if X.ndim != 2:
         raise InvalidParameterError(f"data must be 2-d, got shape {X.shape}")
     n, p = X.shape
+    if n < 1:
+        raise InvalidParameterError(f"data must have at least one row, got shape {X.shape}")
     if mu.shape[0] != p:
         raise InvalidParameterError(f"mu has length {mu.shape[0]}, data has p={p}")
     cov = as_covariance(sigma)
@@ -46,8 +49,11 @@ def oracle_theta(X, mu, sigma) -> float:
         raise InvalidParameterError(f"sigma is {cov.p} x {cov.p}, data has p={p}")
     # Every harness cell has mu = 0: whitening X itself saves an n x p copy
     # and is bit-identical, as q reads only squares (the sign of a zero).
-    q = cov.whitened_sq_norms(X if not np.any(mu) else X - mu)
-    return math.fsum(q * q) / (n * p * (p + 2))
+    # A non-finite value or an overflow shows as NaN or inf and raises
+    # through exact_sum, which gives math.fsum's sum bit for bit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = cov.whitened_sq_norms(X if not np.any(mu) else X - mu)
+        return exact_sum(q * q) / (n * p * (p + 2))
 
 
 def wl_theta(X) -> float:

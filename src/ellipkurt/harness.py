@@ -21,13 +21,15 @@ defaults to the cores this process may use (:func:`usable_cores`). The
 pool takes its tasks in replication-major order: replication 0 of every
 cell (config, p), then replication 1, and so on. Small-p replications are
 mostly interpreter work, which holds the interpreter lock, while large-p
-ones spend their time in the generator and in numpy and LAPACK calls that
-release it, so threads that run at the same moment mix the two kinds and
-both cores stay busy; a pool per cell or per experiment would run the
-small-p cells alone. While the pool runs, OpenBLAS is held at one thread
-(:data:`ellipkurt.linalg.BLAS_LIMIT`): at these matrix sizes its own
-threads buy nothing and would compete with the pool for the same cores. A
-serial run leaves OpenBLAS as it is.
+ones spend their time in the generator, in numpy's array loops and Gram
+products, and in the AR(1) root's LAPACK solve, all of which release it
+(the root through ``ctypes``, :data:`ellipkurt.linalg.DTBTRS`; scipy's
+f2py wrapper, its fallback, holds the lock). So threads that run at the
+same moment mix the two kinds and both cores stay busy; a pool per cell or
+per experiment would run the small-p cells alone. While the pool runs,
+OpenBLAS is held at one thread (:data:`ellipkurt.linalg.BLAS_LIMIT`): at
+these matrix sizes its own threads buy nothing and would compete with the
+pool for the same cores. A serial run leaves OpenBLAS as it is.
 """
 
 from __future__ import annotations

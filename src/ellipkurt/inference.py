@@ -165,13 +165,15 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
     n, p = cg.n, cg.p
     if n < 2:
         raise InsufficientSampleError(f"need at least 2 observations for sample moments, got {n}")
-    tp = trace_powers(cg.M)
     # Relative to the data's own scale (offset included), never absolute.
-    if tp.t1 <= 1e-12 * cg.x_max * cg.x_max:
+    if cg.T <= 1e-12 * cg.x_max * cg.x_max:
         raise DegenerateDataError("sample covariance is numerically zero")
-    # Trace powers of the sample covariance, scaled by (n - 1)^-k.
+    # Trace powers of the sample covariance, scaled by (n - 1)^-k: tr M and
+    # tr M^2 are the summary's exact sums T and W, the same values the
+    # U-statistics and the WL plug-in read.
+    tp = trace_powers(cg.M)
     c = float(n - 1)
-    t1, t2, t3, t4 = tp.t1 / c, tp.t2 / c**2, tp.t3 / c**3, tp.t4 / c**4
+    t1, t2, t3, t4 = cg.T / c, cg.W / c**2, tp.t3 / c**3, tp.t4 / c**4
     # An overflow shows as inf and raises through exact_sum.
     with np.errstate(over="ignore", invalid="ignore"):
         m3 = exact_sum(cg.g**3) / n

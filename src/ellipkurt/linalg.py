@@ -9,7 +9,11 @@ without a second n x p array; ``whitened_sq_norms(Y)`` gives the squared
 norms ||L^{-1} y||^2 of the rows. :class:`AR1` does all of them in O(n p)
 from the closed-form Cholesky factor of the AR(1) matrix: the root is one
 in-place LAPACK triangular-banded solve (``dtbtrs``) of the unit
-lower-bidiagonal recursion, the whitening one subtraction.
+lower-bidiagonal recursion, the whitening one subtraction. The solve
+(:data:`DTBTRS`) calls scipy's OpenBLAS through ``ctypes``, which releases
+the interpreter lock, so threads sampling at once run their roots at once;
+where that routine is missing it runs scipy's f2py wrapper, which holds
+the lock, and ``DTBTRS.reason`` says why.
 :class:`Dense` wraps any symmetric matrix, sampling with its symmetric
 square root and whitening with its Cholesky factor. Also here: PSD square
 roots, trace powers, and the centered Gram summary of a data matrix
@@ -145,18 +149,23 @@ class AR1:
         place, where B = diag(1, s, ..., s) L^{-1} is unit lower bidiagonal
         with subdiagonal -rho: x_j = rhs_j + rho x_{j-1}, one contiguous
         column of the F-ordered transpose Z' at a time. The BLAS kernel may
-        fuse that multiply-add.
+        fuse that multiply-add. The solve is :meth:`LowerBandSolve.solve`:
+        a direct ``ctypes`` call that releases the interpreter lock, or,
+        where that is unavailable (``DTBTRS.reason``) or for a Z it cannot
+        take (not C-ordered float64), scipy's f2py wrapper, which gives the
+        same bits and solves a copy of such a Z.
         """
         rho = float(self.rho)
         scale = np.asarray(scale, dtype=float)[..., None]
         Z[:, 1:] *= scale * math.sqrt(1.0 - rho * rho)
         Z[:, :1] *= scale
-        ab = np.ones((2, self.p))
+        ab = np.empty((2, self.p), order="F")
+        ab[0] = 1.0
         ab[1] = -rho
-        X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
+        X, info = DTBTRS.solve(ab, Z)
         if info != 0:
             raise InvalidParameterError(f"AR(1) root: LAPACK dtbtrs returned info={info}")
-        return X.T
+        return X
 
     def whiten(self, Y) -> np.ndarray:
         """Rows y of Y mapped to L^{-1} y: y_0, then (y_j - rho y_{j-1}) / s."""
@@ -483,30 +492,127 @@ _OPENBLAS_SYMBOLS = tuple(f"{prefix}_{{}}_num_threads{suffix}"
                           for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
 
 
-def find_openblas() -> tuple[list[OpenBlas], str | None]:
-    """The OpenBLAS libraries bundled with numpy and scipy, and the reason
-    when there is none. Loading a library the process already holds returns
-    that same library, so setting its thread count acts on numpy and scipy."""
-    libs, misses = [], []
+def _openblas_libraries(misses: list[str]) -> Iterator[tuple[str, ctypes.CDLL]]:
+    """Each OpenBLAS library bundled with numpy and scipy, loaded, with its
+    path; one that fails to load is noted in ``misses`` instead. Loading a
+    library the process already holds returns that same library."""
     for pkg in (np, scipy):
         pkg_dir = os.path.dirname(pkg.__file__)
         for path in sorted(glob.glob(f"{pkg_dir}.libs/*openblas*")):
             try:
-                lib = ctypes.CDLL(path)
+                yield path, ctypes.CDLL(path)
             except OSError as exc:
                 misses.append(f"{os.path.basename(path)}: {exc}")
-                continue
-            name = next((n for n in _OPENBLAS_SYMBOLS if hasattr(lib, n.format("set"))), None)
-            if name is None:
-                misses.append(f"{os.path.basename(path)}: no thread-count symbol")
-                continue
-            get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            libs.append(OpenBlas(path, get, set_))
+
+
+def find_openblas() -> tuple[list[OpenBlas], str | None]:
+    """The OpenBLAS libraries bundled with numpy and scipy, and the reason
+    when there is none. Setting their thread counts acts on numpy and scipy,
+    which hold the same libraries."""
+    libs, misses = [], []
+    for path, lib in _openblas_libraries(misses):
+        name = next((n for n in _OPENBLAS_SYMBOLS if hasattr(lib, n.format("set"))), None)
+        if name is None:
+            misses.append(f"{os.path.basename(path)}: no thread-count symbol")
+            continue
+        get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        libs.append(OpenBlas(path, get, set_))
     if libs:
         return libs, None
     return libs, "; ".join(misses) or "no OpenBLAS library bundled with numpy or scipy"
+
+
+# LAPACK dtbtrs in scipy's LP64 OpenBLAS, the routine and library that
+# scipy.linalg.lapack.dtbtrs calls (numpy's ILP64 build exports only
+# scipy_dtbtrs_64_, which takes 64-bit integers).
+_DTBTRS_SYMBOL = "scipy_dtbtrs_"
+_INT_MAX = 2**31 - 1
+_CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+# uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, then the hidden
+# lengths of the three character arguments that gfortran passes.
+_DTBTRS_ARGTYPES = [_CHAR, _CHAR, _CHAR, _INT, _INT, _INT, ctypes.c_void_p, _INT,
+                    ctypes.c_void_p, _INT, _INT] + [ctypes.c_size_t] * 3
+
+
+def find_dtbtrs() -> tuple[Callable[..., None] | None, str | None]:
+    """LAPACK ``dtbtrs`` of scipy's LP64 OpenBLAS as a ``ctypes`` function,
+    and the reason when there is none (scipy built on another LAPACK)."""
+    misses = []
+    for path, lib in _openblas_libraries(misses):
+        fn = getattr(lib, _DTBTRS_SYMBOL, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = _DTBTRS_ARGTYPES, None
+            return fn, None
+        misses.append(f"{os.path.basename(path)}: no {_DTBTRS_SYMBOL}")
+    return None, "; ".join(misses) or "no OpenBLAS library bundled with numpy or scipy"
+
+
+class LowerBandSolve:
+    """In-place unit lower triangular banded solves that release the
+    interpreter lock.
+
+    The f2py wrapper ``scipy.linalg.lapack.dtbtrs`` holds the interpreter
+    lock for the whole solve, so threads that each solve run one at a time.
+    :meth:`solve` calls the same LAPACK routine of the same library through
+    ``ctypes``, whose calls release the lock, with the same arguments and
+    so the same bits. The routine is looked up on first use (:data:`DTBTRS`
+    is the process's one instance). Where it is missing, and for arrays the
+    direct call cannot take, :meth:`solve` runs the f2py wrapper, and
+    :attr:`reason` says why the direct call is unavailable.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._found: tuple[Callable[..., None] | None, str | None] | None = None
+
+    def _resolve(self) -> tuple[Callable[..., None] | None, str | None]:
+        found = self._found
+        if found is None:
+            with self._lock:
+                if self._found is None:
+                    self._found = find_dtbtrs()
+                found = self._found
+        return found
+
+    @property
+    def reason(self) -> str | None:
+        """Why solves run through the f2py wrapper, or None when they call
+        LAPACK directly."""
+        return self._resolve()[1]
+
+    def solve(self, ab: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve A x = z for each row z of Z; the solutions as rows, and
+        LAPACK's ``info``.
+
+        A is p x p unit lower triangular with kd = ab.shape[0] - 1
+        subdiagonals in LAPACK band storage ``ab`` (entry (i, j) of A, for
+        0 <= i - j <= kd, is ab[i - j, j]; the diagonal row is not read).
+        When ``ab`` is an F-ordered and Z a C-ordered, writeable float64
+        array, LAPACK solves the F-ordered Z' in place with the lock
+        released and Z is returned. Any other arrays go through the f2py
+        wrapper, which copies what it cannot take as it is and holds the
+        lock; no pointer is passed for a strided view.
+        """
+        fn = self._resolve()[0]
+        if (fn is None or Z.ndim != 2 or ab.ndim != 2 or Z.dtype != np.float64
+                or ab.dtype != np.float64 or ab.shape[1] != Z.shape[1]
+                or not (Z.flags.c_contiguous and Z.flags.writeable and Z.flags.aligned)
+                or not (ab.flags.f_contiguous and ab.flags.aligned)
+                or max(Z.size, ab.size) > _INT_MAX):
+            X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
+            return X.T, int(info)
+        n, p = Z.shape
+        rows = ab.shape[0]
+        info = ctypes.c_int(0)
+        fn(b"L", b"N", b"U", ctypes.byref(ctypes.c_int(p)), ctypes.byref(ctypes.c_int(rows - 1)),
+           ctypes.byref(ctypes.c_int(n)), ab.ctypes.data, ctypes.byref(ctypes.c_int(rows)),
+           Z.ctypes.data, ctypes.byref(ctypes.c_int(max(p, 1))), ctypes.byref(info), 1, 1, 1)
+        return Z, info.value
+
+
+DTBTRS = LowerBandSolve()
 
 
 class BlasThreadLimit:

@@ -69,8 +69,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateDataError, InsufficientSampleError
-from .linalg import as_data_matrix, centered_gram, require_finite
+from .linalg import as_data_matrix, centered_gram, exact_sum, require_finite
 
 __all__ = [
     "UStats",
@@ -118,28 +120,34 @@ def ustats_bruteforce(X) -> UStats:
 
     O(n^4 p): every kernel value is recomputed from the raw rows, sharing
     no intermediate quantities with the fast path. Use for differential
-    testing and small-sample verification only.
+    testing and small-sample verification only. Raises
+    :class:`InvalidParameterError` when the data's scale overflows, as the
+    fast path does.
     """
     X, _ = as_data_matrix(X)
     n, p = X.shape
     _require_fourth_order(n)
-    acc1 = []
-    acc2 = []
-    acc3 = []
-    for i, j, k, l in itertools.permutations(range(n), 4):
-        d1 = X[i] - X[j]
-        d2 = X[k] - X[l]
-        a = float(d1 @ d1)
-        b = float(d2 @ d2)
-        c = float(d1 @ d2)
-        acc1.append((a - b) ** 2)
-        acc2.append(a * b)
-        acc3.append(c * c)
+    acc1, acc2, acc3 = [], [], []
+    # An overflow shows as inf (or as NaN, from inf - inf) and raises
+    # through exact_sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j, k, l in itertools.permutations(range(n), 4):
+            d1 = X[i] - X[j]
+            d2 = X[k] - X[l]
+            a = float(d1 @ d1)
+            b = float(d2 @ d2)
+            c = float(d1 @ d2)
+            try:
+                acc1.append((a - b) ** 2)
+            except OverflowError:  # float ** raises where a product gives inf
+                acc1.append(math.inf)
+            acc2.append(a * b)
+            acc3.append(c * c)
     norm = 4.0 * n * (n - 1) * (n - 2) * (n - 3)
     return UStats(
-        t1=math.fsum(acc1) / norm,
-        t2=math.fsum(acc2) / norm,
-        t3=math.fsum(acc3) / norm,
+        t1=exact_sum(acc1) / norm,
+        t2=exact_sum(acc2) / norm,
+        t3=exact_sum(acc3) / norm,
         n=n,
         p=p,
     )

@@ -118,6 +118,34 @@ def test_oracle_singular_sigma():
         oracle_theta(X, np.zeros(3), singular)
 
 
+def _oracle_inputs():
+    X = np.random.default_rng(5).normal(size=(8, 3))
+    nan, inf, tall = X.copy(), X.copy(), np.random.default_rng(6).normal(size=(700, 3))
+    nan[2, 1], inf[5, 0], tall[650, 2] = np.nan, -np.inf, np.nan
+    shifted = np.full((4, 3), 1e308)
+    # Each squared norm squared is about 2e307, finite; twelve of them are not.
+    sum_overflows = np.tile([2.0**255, 0.0, 0.0], (12, 1))
+    return [(nan, 0.0), (inf, 0.0), (tall, 0.0), (X * 1e155, 0.0), (X * 1e300, 0.0),
+            (shifted, -1e308), (sum_overflows, 0.0)]
+
+
+@pytest.mark.parametrize("cov", [AR1(3, 0.5), Dense(toeplitz_ar1(3, 0.5))], ids=["ar1", "dense"])
+@pytest.mark.parametrize("X, mu", _oracle_inputs(),
+                         ids=["nan", "inf", "nan-past-600-rows", "1e155", "1e300", "x-minus-mu",
+                              "sum-overflows"])
+def test_oracle_non_finite_result_is_a_typed_error(cov, X, mu):
+    # NaN or inf data, and finite data whose fourth powers overflow, raise
+    # instead of returning nan or inf; the warnings filter turns any numpy
+    # overflow warning into a failure.
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        oracle_theta(X, np.full(3, mu), cov)
+
+
+def test_oracle_rejects_data_without_rows():
+    with pytest.raises(InvalidParameterError, match="at least one row"):
+        oracle_theta(np.zeros((0, 3)), np.zeros(3), AR1(3, 0.5))
+
+
 def test_oracle_near_one_for_normal():
     p, n = 50, 200
     sigma = toeplitz_ar1(p, 0.5)

@@ -1,6 +1,8 @@
 import contextlib
 import math
+import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtbtrs
 
 from ellipkurt import (
     InvalidParameterError,
@@ -397,6 +400,103 @@ def test_covariance_maps_leave_input_unmodified(cov):
     assert rel_norm(cov.apply_root(F), X) <= 1e-14
     assert rel_norm(cov.whiten(F), Y) <= 1e-14
     assert np.array_equal(F, before)
+
+
+def f2py_scaled_root(Z, rho, scale):
+    """AR1.scaled_root on a copy of Z by hand: the same scaling pass, then
+    the f2py ``dtbtrs`` wrapper, which holds the interpreter lock."""
+    Z = np.array(Z, order="C")
+    scale = np.asarray(scale, dtype=float)[..., None]
+    Z[:, 1:] *= scale * math.sqrt(1.0 - rho * rho)
+    Z[:, :1] *= scale
+    ab = np.ones((2, Z.shape[1]))
+    ab[1] = -rho
+    X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
+    assert info == 0
+    return X.T
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def check_scaled_root_against_f2py(rho, per_row):
+    for n in (1, 3, 100):
+        for p in (1, 2, 3, 1600):
+            rng = np.random.default_rng([n, p])
+            Z = rng.standard_normal((n, p))
+            scale = rng.uniform(0.5, 2.0, size=n) if per_row else 1.7
+            expected = f2py_scaled_root(Z, rho, scale)
+            X = AR1(p, rho).scaled_root(Z, scale)
+            assert np.shares_memory(X, Z)  # written over Z
+            assert_same_bits(X, expected)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar-scale", "row-scales"])
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.99, -0.99])
+def test_ar1_scaled_root_is_f2py_dtbtrs_bit_for_bit(rho, per_row):
+    assert linalg.DTBTRS.reason is None  # the direct LAPACK call is what runs
+    check_scaled_root_against_f2py(rho, per_row)
+
+
+def test_ar1_root_without_the_lapack_symbol_runs_f2py(monkeypatch):
+    monkeypatch.setattr(linalg, "_DTBTRS_SYMBOL", "no_such_dtbtrs_")
+    monkeypatch.setattr(linalg, "DTBTRS", linalg.LowerBandSolve())
+    for rho in (0.5, -0.99):
+        check_scaled_root_against_f2py(rho, per_row=True)
+    assert "no no_such_dtbtrs_" in linalg.DTBTRS.reason
+
+
+def test_ar1_root_of_a_strided_view_is_solved_in_a_copy():
+    # No pointer is passed for a strided view: the f2py wrapper copies it,
+    # and the columns between its columns are never written.
+    rng = np.random.default_rng(16)
+    Z = rng.standard_normal((7, 30))
+    before = Z.copy()
+    view = Z[:, ::2]
+    X = AR1(15, 0.8).scaled_root(view, 1.3)
+    assert_same_bits(X, f2py_scaled_root(before[:, ::2], 0.8, 1.3))
+    assert np.array_equal(Z[:, 1::2], before[:, 1::2])
+    F = np.asfortranarray(before)
+    assert_same_bits(AR1(30, 0.8).scaled_root(F, 1.3), f2py_scaled_root(before, 0.8, 1.3))
+
+
+def test_ar1_root_releases_the_interpreter_lock():
+    # One thread records timestamps while this one solves. A recorder
+    # timestamp needs the lock, and no switch is forced within the switch
+    # interval, so a timestamp inside the solve's window means the solve
+    # released the lock. The routine is looked up before the window opens.
+    if linalg.DTBTRS.reason is not None:
+        pytest.skip(linalg.DTBTRS.reason)
+    n, p, rho = 20, 200_000, 0.5
+    Z = np.random.default_rng(17).standard_normal((n, p))
+    ab = np.empty((2, p), order="F")
+    ab[0] = 1.0
+    ab[1] = -rho
+    stamps, started, done = [], threading.Event(), threading.Event()
+
+    def record():
+        started.set()
+        while not done.is_set():
+            stamps.append(time.perf_counter())
+            time.sleep(0.0002)  # releases the lock, so the solver can take it back
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)  # far longer than the solve
+    try:
+        recorder = threading.Thread(target=record)
+        recorder.start()
+        assert started.wait(timeout=10)
+        t0 = time.perf_counter()
+        X, info = linalg.DTBTRS.solve(ab, Z)
+        t1 = time.perf_counter()
+        done.set()
+        recorder.join(timeout=10)
+        assert not recorder.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert info == 0 and X is Z
+    assert any(t0 < s < t1 for s in stamps)
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.inf, np.nan])

@@ -178,6 +178,17 @@ def test_extreme_scales_give_finite_or_typed_error(entry, scale):
     assert np.isfinite(value)
 
 
+@pytest.mark.parametrize("scale", [1e77, 1e100, 1e155, 1e300])
+@pytest.mark.parametrize("f", [ustats_bruteforce, ustats_fast])
+def test_overflowing_scale_is_a_typed_error(f, scale):
+    # Finite data whose fourth powers pass the double range: no inf or NaN
+    # statistic, no bare OverflowError from float **, and no numpy warning
+    # (the warnings filter turns one into a failure).
+    X = np.random.default_rng(205).normal(size=(5, 3)) * scale
+    with pytest.raises(InvalidParameterError, match="not finite"):
+        f(X)
+
+
 def test_scale_by_power_of_two_leaves_estimates_unchanged():
     # The degeneracy floors are relative: normal data at 2^-34 (about 5.8e-11)
     # once raised DegenerateDataError through an absolute floor of 1.

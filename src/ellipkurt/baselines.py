@@ -15,9 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError, InvalidParameterError
-from .linalg import as_covariance, centered_gram, exact_sum, require_finite
-
-__all__ = ["oracle_theta", "wl_theta"]
+from .linalg import as_covariance, as_float_matrix, centered_gram, exact_sum, require_finite
 
 
 def oracle_theta(X, mu, sigma) -> float:
@@ -31,17 +29,15 @@ def oracle_theta(X, mu, sigma) -> float:
     difference array for AR(1), a triangular solve on the Cholesky factor
     for a dense matrix. A covariance object keeps its factor, so passing
     the same one each replication factors it once. X is left as it is.
-    Raises :class:`InvalidParameterError` for data without rows and when
-    the result is not finite (non-finite data, or a scale whose fourth
-    power overflows); finite data get no extra pass to check them.
+    Raises :class:`InvalidParameterError` for data that
+    :func:`ellipkurt.linalg.as_float_matrix` rejects (not a nonempty real
+    matrix) and when the result is not finite (non-finite data, or a scale
+    whose fourth power overflows); finite data get no extra pass to check
+    them.
     """
-    X = np.asarray(X, dtype=float)
+    X = as_float_matrix(X)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if X.ndim != 2:
-        raise InvalidParameterError(f"data must be 2-d, got shape {X.shape}")
     n, p = X.shape
-    if n < 1:
-        raise InvalidParameterError(f"data must have at least one row, got shape {X.shape}")
     if mu.shape[0] != p:
         raise InvalidParameterError(f"mu has length {mu.shape[0]}, data has p={p}")
     cov = as_covariance(sigma)

@@ -143,7 +143,7 @@ def cmd_estimate(args) -> int:
         plugin = None
         if "case2" in methods:
             try:
-                plugin = plugin_moments_case2(cg, theta_hat=est.theta_hat)
+                plugin = plugin_moments_case2(cg)
             except EllipkurtError as exc:
                 if args.ci != "all":
                     raise

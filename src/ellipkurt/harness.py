@@ -56,22 +56,6 @@ from .linalg import AR1, BLAS_LIMIT, _check_ar1, centered_gram
 from .models import FAMILY_LAWS, FAMILY_NAMES, EllipticalSpec, XiLaw, make_law, sample_data
 from .ustat import theta_hat, ustats_fast
 
-__all__ = [
-    "ExperimentConfig",
-    "SummaryRow",
-    "CSV_HEADER",
-    "ESTIMATOR_NAMES",
-    "CI_NAMES",
-    "replication_rng",
-    "run_experiments",
-    "run_estimation_experiment",
-    "run_coverage_experiment",
-    "summarize_to_csv",
-    "load_config",
-    "preset_table1_desk",
-    "preset_table2_desk",
-]
-
 DEFAULT_SEED = 20240811
 
 ESTIMATOR_NAMES = ("theta_hat", "oracle", "wl_plugin")
@@ -397,8 +381,6 @@ def _coverage_rows(cfg: ExperimentConfig, p: int, theta0: float,
 
 
 def _coverage_cells(cfg: ExperimentConfig) -> list[_Cell]:
-    if not cfg.ci_methods:
-        raise InvalidParameterError("coverage experiment needs nonempty ci_methods")
     fam_code = _family_code(cfg)
     cells = []
     for p in cfg.p_list:
@@ -422,19 +404,6 @@ def run_experiments(
 
 def _concat(row_lists: list[list[SummaryRow]]) -> list[SummaryRow]:
     return [row for rows in row_lists for row in rows]
-
-
-def run_estimation_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
-    """Point-estimation study: per (p, estimator), mean and SD over
-    replications. Failed replications are counted and excluded."""
-    return _concat(_run_cells(_estimation_cells(cfg), workers))
-
-
-def run_coverage_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[SummaryRow]:
-    """Coverage study: per (p, CI method), empirical coverage of the true
-    kurtosis and average interval width; mean/sd columns aggregate the
-    point estimate over the method's successful replications."""
-    return _concat(_run_cells(_coverage_cells(cfg), workers))
 
 
 def _fmt(x: float | None) -> str:

@@ -27,6 +27,7 @@ with a method-specific asymptotic scale sigma_hat:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,21 +42,8 @@ from .errors import (
     UndefinedDofError,
 )
 from .linalg import centered_gram, exact_sum, require_finite, require_normal, trace_powers
+from .moments import sphere_quartic
 from .ustat import KurtosisEstimate
-
-__all__ = [
-    "CiMethod",
-    "ConfidenceInterval",
-    "PlugInMoments",
-    "z_quantile",
-    "delta_hat",
-    "tau_hat",
-    "dof_hat",
-    "sigma2_case1",
-    "plugin_moments_case2",
-    "sigma2_case2",
-    "confidence_interval",
-]
 
 
 class CiMethod(str, Enum):
@@ -90,25 +78,21 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True)
 class PlugInMoments:
-    """Sample-based sixth/eighth-moment ratio estimates.
-
-    ``varrho_hat`` estimates E xi^6 and ``varphi_hat`` estimates E xi^8.
-    The optional fields carry the kurtosis-derived plug-ins when a point
-    estimate was supplied: tau_hat, delta_hat and the degrees of freedom
-    d_n (None when theta_hat <= 1, where d_n is undefined).
-    """
+    """Sample-based sixth/eighth-moment ratio estimates: ``varrho_hat``
+    estimates E xi^6 and ``varphi_hat`` estimates E xi^8."""
 
     varrho_hat: float
     varphi_hat: float
-    tau_hat: float | None = None
-    delta_hat: float | None = None
-    d_n: float | None = None
 
 
 def z_quantile(alpha: float) -> float:
-    """Upper alpha/2 standard-normal quantile used by all intervals."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha}")
+    """Upper alpha/2 standard-normal quantile used by all intervals.
+
+    Raises :class:`InvalidParameterError` unless alpha is a real number in
+    (0, 1).
+    """
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha!r}")
     return float(ndtri(1.0 - alpha / 2.0))
 
 
@@ -142,8 +126,9 @@ def sigma2_case1(tau_hat: float, ratio_hat: float, p: int) -> float:
     return 2.0 * s * s
 
 
-def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
-    """Sixth- and eighth-moment ratio estimates from centered data.
+def plugin_moments_case2(X) -> PlugInMoments:
+    """The sixth- and eighth-moment ratio estimates of centered data, as a
+    :class:`PlugInMoments` (``varrho_hat``, ``varphi_hat``).
 
     Implements the ratio estimators
 
@@ -156,10 +141,9 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
     (divisor n - 1). ``X`` is the data matrix or its centered Gram summary
     (:func:`ellipkurt.linalg.centered_gram`); the trace powers come from its
     smaller Gram matrix, so the cost is O(n p min(n, p) + min(n, p)^3), of
-    which the summary is the first term.
-
-    When ``theta_hat`` is given the kurtosis-derived plug-ins (tau, delta,
-    degrees of freedom) are filled in as well.
+    which the summary is the first term. The denominator of varphi_hat is
+    :func:`ellipkurt.moments.sphere_quartic`, the numerator of the
+    population moment :func:`ellipkurt.moments.sphere_moment_4`.
     """
     cg = centered_gram(X)
     n, p = cg.n, cg.p
@@ -171,32 +155,22 @@ def plugin_moments_case2(X, theta_hat: float | None = None) -> PlugInMoments:
     # Trace powers of the sample covariance, scaled by (n - 1)^-k: tr M and
     # tr M^2 are the summary's exact sums T and W, the same values the
     # U-statistics and the WL plug-in read.
-    tp = trace_powers(cg.M)
+    _, _, tr3, tr4 = trace_powers(cg.M)
     c = float(n - 1)
-    t1, t2, t3, t4 = cg.T / c, cg.W / c**2, tp.t3 / c**3, tp.t4 / c**4
+    t1, t2, t3, t4 = cg.T / c, cg.W / c**2, tr3 / c**3, tr4 / c**4
     # An overflow shows as inf and raises through exact_sum.
     with np.errstate(over="ignore", invalid="ignore"):
         m3 = exact_sum(cg.g**3) / n
         m4 = exact_sum(cg.g**4) / n
     # Products, not float **, so an overflow gives inf instead of raising.
-    sq = t1 * t1
-    den3 = sq * t1 + 6.0 * t1 * t2 + 8.0 * t3
-    den4 = sq * sq + 12.0 * sq * t2 + 12.0 * t2 * t2 + 32.0 * t1 * t3 + 48.0 * t4
+    den3 = t1 * t1 * t1 + 6.0 * t1 * t2 + 8.0 * t3
+    den4 = sphere_quartic(t1, t2, t3, t4)
     require_finite(den3, den4)
     require_normal(m3, m4, den3, den4)
     varrho = p * (p + 2) * (p + 4) * m3 / den3
     varphi = p * (p + 2) * (p + 4) * (p + 6) * m4 / den4
     require_finite(varrho, varphi)
-    if theta_hat is None:
-        return PlugInMoments(varrho_hat=varrho, varphi_hat=varphi)
-    d_n = dof_hat(theta_hat) if theta_hat > 1.0 else None
-    return PlugInMoments(
-        varrho_hat=varrho,
-        varphi_hat=varphi,
-        tau_hat=tau_hat(theta_hat, p),
-        delta_hat=delta_hat(theta_hat, p),
-        d_n=d_n,
-    )
+    return PlugInMoments(varrho_hat=varrho, varphi_hat=varphi)
 
 
 def sigma2_case2(theta_hat: float, pm: PlugInMoments, p: int) -> float:
@@ -253,9 +227,16 @@ def confidence_interval(
     """Two-sided (1 - alpha) confidence interval for the kurtosis.
 
     ``plugin`` is required for ``case2`` and ignored otherwise. The
-    returned interval always satisfies lower <= theta_hat <= upper.
+    returned interval always satisfies lower <= theta_hat <= upper. An
+    unknown ``method`` or an ``alpha`` outside (0, 1) raises
+    :class:`InvalidParameterError`.
     """
-    method = CiMethod(method)
+    try:
+        method = CiMethod(method)
+    except ValueError:
+        raise InvalidParameterError(
+            f"unknown CI method {method!r}; expected one of {[m.value for m in CiMethod]}"
+        ) from None
     z = z_quantile(alpha)
     sigma = _half_width_scale(est, method, plugin)
     half = sigma / math.sqrt(est.ustats.n) * z

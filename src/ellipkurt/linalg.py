@@ -56,19 +56,6 @@ PSD_CLAMP_TOL = 1e-8
 TINY = float(np.finfo(float).tiny)
 
 
-@dataclass(frozen=True)
-class TracePowers:
-    """Traces of the first four powers of a symmetric matrix."""
-
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.t1, self.t2, self.t3, self.t4)
-
-
 def check_symmetric(M, name: str = "matrix") -> np.ndarray:
     """Validate a dense, exactly symmetric, square float matrix."""
     M = np.asarray(M, dtype=float)
@@ -79,16 +66,6 @@ def check_symmetric(M, name: str = "matrix") -> np.ndarray:
     if not np.array_equal(M, M.T):
         raise InvalidParameterError(f"{name} must be exactly symmetric")
     return M
-
-
-def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average a nearly symmetric matrix with its transpose.
-
-    Products such as ``X @ X.T`` are symmetric in exact arithmetic but BLAS
-    may round the (i, j) and (j, i) entries differently; this restores the
-    exact symmetry the rest of the package requires.
-    """
-    return 0.5 * (M + M.T)
 
 
 def _check_ar1(p: int, rho: float) -> None:
@@ -270,11 +247,15 @@ def sqrt_psd(M) -> np.ndarray:
             f"below -{PSD_CLAMP_TOL:.0e} * ||M||"
         )
     root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    return symmetrize(root)
+    # BLAS may round the (i, j) and (j, i) entries of the product differently.
+    return 0.5 * (root + root.T)
 
 
-def trace_powers(M) -> TracePowers:
-    """Traces of M, M^2, M^3, M^4 for symmetric M.
+def trace_powers(M: np.ndarray) -> tuple[float, float, float, float]:
+    """Traces of M, M^2, M^3, M^4 for an exactly symmetric float matrix M,
+    which is not checked: the callers hold a matrix that is checked
+    (:func:`check_symmetric`) or symmetric by construction
+    (``CenteredGram.M``).
 
     Only one matrix product is formed: with S = M @ M,
 
@@ -283,16 +264,11 @@ def trace_powers(M) -> TracePowers:
     which avoids the extra O(p^3) multiplications for the cubic and quartic
     powers.
     """
-    M = check_symmetric(M)
     # An overflow shows as inf and is the caller's to report (require_finite).
     with np.errstate(over="ignore", invalid="ignore"):
         S = M @ M
-        return TracePowers(
-            t1=float(np.trace(M)),
-            t2=float(np.trace(S)),
-            t3=float(np.sum(M * S)),
-            t4=float(np.sum(S * S)),
-        )
+        return (float(np.trace(M)), float(np.trace(S)), float(np.sum(M * S)),
+                float(np.sum(S * S)))
 
 
 @dataclass(frozen=True)
@@ -415,16 +391,38 @@ def exact_sum(a) -> float:
         raise InvalidParameterError(_NOT_FINITE) from None
 
 
-def as_data_matrix(X) -> tuple[np.ndarray, float]:
-    """X as a float matrix and its scale max |X|.
+def as_float_matrix(X) -> np.ndarray:
+    """X as a float64 matrix, the same array when it is one.
 
-    X is checked to be 2-d with at least one row and one column and to be
-    finite; raises :class:`InvalidParameterError` otherwise. One max and
-    one min reduction do both: NaN and infinities propagate through them.
+    Raises :class:`InvalidParameterError` for complex, str and bytes
+    arrays, which a float conversion would cast with a warning or parse,
+    for input that does not convert to floats (a ragged or non-numeric
+    list), and unless X is 2-d with at least one row and one column. The
+    values are not read.
     """
-    X = np.asarray(X, dtype=float)
+    try:
+        X = np.asarray(X)
+        if X.dtype.kind not in "cSU":
+            X = X.astype(float, copy=False)
+    except (ValueError, TypeError) as exc:
+        raise InvalidParameterError(f"data must be a numeric matrix: {exc}") from None
+    if X.dtype.kind in "cSU":
+        raise InvalidParameterError(f"data must be real numbers, got dtype {X.dtype}")
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise InvalidParameterError(f"data must be a nonempty 2-d matrix, got shape {X.shape}")
+        raise InvalidParameterError(
+            f"data must be a 2-d matrix with at least one row and one column, got shape {X.shape}"
+        )
+    return X
+
+
+def as_data_matrix(X) -> tuple[np.ndarray, float]:
+    """X as a float matrix (:func:`as_float_matrix`) and its scale max |X|.
+
+    X is also checked to be finite; raises :class:`InvalidParameterError`
+    otherwise. One max and one min reduction do both: NaN and infinities
+    propagate through them.
+    """
+    X = as_float_matrix(X)
     hi, lo = float(X.max()), float(X.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidParameterError("data contains non-finite values")

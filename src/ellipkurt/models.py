@@ -43,24 +43,6 @@ import numpy as np
 from .errors import InvalidParameterError, MomentDoesNotExistError
 from .linalg import AR1, Dense, as_covariance
 
-__all__ = [
-    "XiLaw",
-    "ChiSquared",
-    "KotzHalf",
-    "ScaledF",
-    "ExpChiProduct",
-    "FAMILY_LAWS",
-    "FAMILY_NAMES",
-    "make_law",
-    "true_theta",
-    "chi2_moment",
-    "xi_moment",
-    "EllipticalSpec",
-    "sample_sphere",
-    "sample_xi",
-    "sample_data",
-]
-
 
 class XiLaw:
     """Base class for squared-radius laws, normalized so that E xi^2 = p.
@@ -245,16 +227,6 @@ def make_law(family: str, p: int, d: int = 9) -> XiLaw:
             f"unknown family {family!r}; expected one of {FAMILY_NAMES}"
         ) from None
     return ScaledF(p=p, d=d) if factory is ScaledF else factory(p=p)
-
-
-def true_theta(law: XiLaw) -> float:
-    """Population kurtosis E xi^4 / (p (p + 2)) of a squared-radius law."""
-    return law.theta()
-
-
-def xi_moment(law: XiLaw, m: int) -> float:
-    """Exact E xi^{2m} of a squared-radius law, m in 1..4."""
-    return law.moment(m)
 
 
 @dataclass(frozen=True, eq=False)

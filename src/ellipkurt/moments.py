@@ -19,17 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linalg import check_symmetric, trace_powers
-from .models import XiLaw, chi2_moment, xi_moment
-
-__all__ = [
-    "sphere_moment_1",
-    "sphere_moment_2",
-    "sphere_moment_3",
-    "sphere_moment_4",
-    "eta",
-    "var_quadform",
-    "var_centered_sq",
-]
+from .models import XiLaw, chi2_moment
 
 
 def sphere_moment_1(A) -> float:
@@ -73,23 +63,24 @@ def sphere_moment_3(A, B, C) -> float:
     return num / (p * (p + 2) * (p + 4))
 
 
-def sphere_moment_4(A) -> float:
-    """E[(u' A u)^4] for u uniform on the unit sphere.
+def sphere_quartic(t1: float, t2: float, t3: float, t4: float) -> float:
+    """t1^4 + 12 t1^2 t2 + 12 t2^2 + 32 t1 t3 + 48 t4 for the traces
+    t_k = tr A^k: p (p + 2) (p + 4) (p + 6) E[(u' A u)^4].
 
-    (tr^4 A + 12 tr^2 A tr A^2 + 12 tr^2 A^2 + 32 tr A tr A^3 + 48 tr A^4)
-    divided by p (p + 2) (p + 4) (p + 6).
+    Products, not float **, so an overflow gives inf instead of raising.
+    """
+    sq = t1 * t1
+    return sq * sq + 12.0 * sq * t2 + 12.0 * t2 * t2 + 32.0 * t1 * t3 + 48.0 * t4
+
+
+def sphere_moment_4(A) -> float:
+    """E[(u' A u)^4] for u uniform on the unit sphere:
+    :func:`sphere_quartic` of the trace powers of A divided by
+    p (p + 2) (p + 4) (p + 6).
     """
     A = check_symmetric(A, "A")
     p = A.shape[0]
-    tp = trace_powers(A)
-    num = (
-        tp.t1**4
-        + 12.0 * tp.t1**2 * tp.t2
-        + 12.0 * tp.t2**2
-        + 32.0 * tp.t1 * tp.t3
-        + 48.0 * tp.t4
-    )
-    return num / (p * (p + 2) * (p + 4) * (p + 6))
+    return sphere_quartic(*trace_powers(A)) / (p * (p + 2) * (p + 4) * (p + 6))
 
 
 def eta(law: XiLaw, m: int) -> float:
@@ -98,7 +89,7 @@ def eta(law: XiLaw, m: int) -> float:
     eta(law, 1) == 1 for every correctly normalized law and eta(law, 2)
     is the kurtosis parameter.
     """
-    return xi_moment(law, m) / chi2_moment(law.p, m)
+    return law.moment(m) / chi2_moment(law.p, m)
 
 
 def var_quadform(sigma, law: XiLaw) -> float:
@@ -106,8 +97,8 @@ def var_quadform(sigma, law: XiLaw) -> float:
     covariance-scale sigma: 2 theta tr sigma^2 + (theta - 1) tr^2 sigma."""
     sigma = check_symmetric(sigma, "sigma")
     theta = eta(law, 2)
-    tp = trace_powers(sigma)
-    return 2.0 * theta * tp.t2 + (theta - 1.0) * tp.t1**2
+    t1, t2, _, _ = trace_powers(sigma)
+    return 2.0 * theta * t2 + (theta - 1.0) * t1**2
 
 
 def var_centered_sq(sigma, law: XiLaw, center: str = "trace") -> float:
@@ -141,11 +132,5 @@ def var_centered_sq(sigma, law: XiLaw, center: str = "trace") -> float:
         )
     r3 = 4.0 * (3.0 * e4 - e2 * e2)
     r5 = 48.0 * e4
-    tp = trace_powers(sigma)
-    return (
-        r1 * tp.t1**4
-        + r2 * tp.t1**2 * tp.t2
-        + r3 * tp.t2**2
-        + r4 * tp.t1 * tp.t3
-        + r5 * tp.t4
-    )
+    t1, t2, t3, t4 = trace_powers(sigma)
+    return r1 * t1**4 + r2 * t1**2 * t2 + r3 * t2**2 + r4 * t1 * t3 + r5 * t4

@@ -54,8 +54,9 @@ over D close in T, t and W (D_ii = 0, so free sums equal sums over i != j):
 
 D is never formed. W = ||H||_F^2 equals ||Xc' Xc||_F^2, so the helper
 :func:`ellipkurt.linalg.centered_gram` takes whichever Gram matrix is
-smaller. Dividing by 4N yields t1, t2, t3. T, t and W are math.fsum
-reductions, whose result is exact and independent of accumulation order.
+smaller. Dividing by 4N yields t1, t2, t3. T, t and W are
+:func:`ellipkurt.linalg.exact_sum` reductions, correctly rounded and
+independent of accumulation order.
 
 The same summary (T, t, W, g and the Gram matrix) is what the plug-in
 baselines and the case-2 moment ratios read, so a caller holding a sample
@@ -73,15 +74,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, InsufficientSampleError
 from .linalg import as_data_matrix, centered_gram, exact_sum, require_finite
-
-__all__ = [
-    "UStats",
-    "KurtosisEstimate",
-    "ustats_bruteforce",
-    "ustats_fast",
-    "theta_hat",
-    "estimate_kurtosis",
-]
 
 # Denominators below DEGENERACY_RTOL * max(|t1|, t2) are treated as exact
 # degeneracy (all rows coincident) rather than a small estimate. The floor

@@ -28,9 +28,6 @@ from .moments import (
 )
 from .ustat import ustats_bruteforce, ustats_fast
 
-__all__ = ["Check", "ustat_differential", "sphere_moments", "xi_moments",
-           "quadform_variances", "run_suite"]
-
 MAX_REL_ERR = 1e-10
 MAX_PULL = 4.0
 

@@ -25,8 +25,7 @@ from ellipkurt import (
     estimate_kurtosis,
     make_law,
     plugin_moments_case2,
-    run_coverage_experiment,
-    run_estimation_experiment,
+    run_experiments,
     sample_sphere,
     summarize_to_csv,
     theta_hat,
@@ -88,7 +87,7 @@ def test_criterion_2_estimation_study():
             family=fam, p_list=(p,), n=100, reps=200, seed=SEED,
             methods=("theta_hat", "oracle"),
         )
-        for row in run_estimation_experiment(cfg, workers=WORKERS):
+        for row in run_experiments([cfg], workers=WORKERS)[0]:
             inside = band[0] <= row.mean <= band[1]
             ok = ok and inside and row.failures == 0
             details.append(f"{fam}/p={p}/{row.method}: {row.mean:.4f}")
@@ -118,7 +117,7 @@ def test_criterion_3_coverage_study():
             family=fam, p_list=(p,), n=100, reps=500, seed=SEED,
             methods=(), ci_methods=(method,), alpha=0.05,
         )
-        row = run_coverage_experiment(cfg, workers=WORKERS)[0]
+        row = run_experiments([cfg], workers=WORKERS)[1][0]
         inside = (
             ecp_band[0] <= row.ecp <= ecp_band[1]
             and width_band[0] <= row.avg_width <= width_band[1]
@@ -215,8 +214,8 @@ def test_criterion_7_determinism_across_workers(tmp_path):
     for workers in (1, 8):
         est_path = tmp_path / f"est_w{workers}.csv"
         cov_path = tmp_path / f"cov_w{workers}.csv"
-        summarize_to_csv(run_estimation_experiment(est_cfg, workers=workers), est_path)
-        summarize_to_csv(run_coverage_experiment(cov_cfg, workers=workers), cov_path)
+        summarize_to_csv(run_experiments([est_cfg], workers=workers)[0], est_path)
+        summarize_to_csv(run_experiments([cov_cfg], workers=workers)[1], cov_path)
         files[workers] = (est_path.read_bytes(), cov_path.read_bytes())
     ok = files[1] == files[8]
     report(

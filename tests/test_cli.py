@@ -316,7 +316,7 @@ def test_simulate_config_unknown_ci_method_exit_2(tmp_path, capsys, dry_run):
     ({"n": 20.5}, "n must be an integer"), ({"reps": 2.5}, "reps must be an integer"),
     ({"seed": "abc"}, "seed must be an integer"), ({"seed": -1}, "seed must be >= 0"),
     ({"p_list": [10.7]}, "p must be an integer"), ({"family": 5}, "family must be one of"),
-    ({"family": "cauchy"}, "family must be one of"),
+    ({"family": "cauchy"}, "family must be one of"), ({"alpha": "0.1"}, "alpha must be in"),
 ])
 def test_simulate_config_bad_types_exit_2(tmp_path, capsys, bad, message, dry_run):
     assert message in refused_config_error(tmp_path, capsys, bad, dry_run)

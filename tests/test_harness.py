@@ -19,8 +19,6 @@ from ellipkurt import (
     preset_table1_desk,
     preset_table2_desk,
     replication_rng,
-    run_coverage_experiment,
-    run_estimation_experiment,
     run_experiments,
     summarize_to_csv,
 )
@@ -109,7 +107,7 @@ def test_replication_rng_independent_of_order():
 
 def test_estimation_rows_shape_and_counts():
     cfg = small_config()
-    rows = run_estimation_experiment(cfg)
+    rows = run_experiments([cfg])[0]
     assert len(rows) == len(cfg.p_list) * len(cfg.methods)
     for r in rows:
         assert r.ecp is None and r.avg_width is None
@@ -120,8 +118,8 @@ def test_estimation_rows_shape_and_counts():
 
 def test_estimation_deterministic_across_workers(tmp_path):
     cfg = small_config()
-    rows1 = run_estimation_experiment(cfg, workers=1)
-    rows8 = run_estimation_experiment(cfg, workers=8)
+    rows1 = run_experiments([cfg], workers=1)[0]
+    rows8 = run_experiments([cfg], workers=8)[0]
     f1, f8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
     summarize_to_csv(rows1, f1)
     summarize_to_csv(rows8, f8)
@@ -147,7 +145,7 @@ def test_coverage_rows():
         methods=(),
         ci_methods=("example1", "laplace", "case1", "case2"),
     )
-    rows = run_coverage_experiment(cfg)
+    rows = run_experiments([cfg])[1]
     assert len(rows) == len(cfg.p_list) * len(cfg.ci_methods)
     for r in rows:
         assert r.reps_used + r.failures == cfg.reps
@@ -162,14 +160,9 @@ def test_coverage_rows():
 def test_coverage_deterministic_across_workers(tmp_path):
     cfg = small_config(reps=8, methods=(), ci_methods=("example1", "case1"))
     f1, f8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
-    summarize_to_csv(run_coverage_experiment(cfg, workers=1), f1)
-    summarize_to_csv(run_coverage_experiment(cfg, workers=8), f8)
+    summarize_to_csv(run_experiments([cfg], workers=1)[1], f1)
+    summarize_to_csv(run_experiments([cfg], workers=8)[1], f8)
     assert f1.read_bytes() == f8.read_bytes()
-
-
-def test_coverage_requires_ci_methods():
-    with pytest.raises(InvalidParameterError):
-        run_coverage_experiment(small_config(ci_methods=()))
 
 
 def test_zero_radius_family_all_failures():
@@ -182,7 +175,7 @@ def test_zero_radius_family_all_failures():
         methods=(),
         ci_methods=("example1",),
     )
-    rows = run_coverage_experiment(cfg)
+    rows = run_experiments([cfg])[1]
     assert len(rows) == 1
     r = rows[0]
     assert r.failures == 4 and r.reps_used == 0
@@ -193,7 +186,7 @@ def test_zero_radius_family_all_failures():
 def test_single_replication_flags_degenerate_sd():
     cfg = small_config(reps=1, methods=("theta_hat",))
     with pytest.warns(RuntimeWarning, match="single replication"):
-        rows = run_estimation_experiment(cfg)
+        rows = run_experiments([cfg])[0]
     for r in rows:
         assert r.sd == 0.0
 
@@ -285,7 +278,7 @@ def test_presets():
 
 def test_mean_aggregation_matches_fsum():
     cfg = small_config(reps=5, methods=("theta_hat",), p_list=(10,))
-    rows = run_estimation_experiment(cfg)
+    rows = run_experiments([cfg])[0]
     code = _family_code(cfg)
     run = _estimation_rep(cfg, 10, _cell_spec(cfg, 10), code)
     values = [run(r)["theta_hat"] for r in range(5)]
@@ -309,9 +302,9 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     cfg = small_config(reps=3)
     assert isinstance(_cell_spec(cfg, 10).sigma, linalg.AR1)
     # A forbidden call raises AssertionError, which no replication catches.
-    assert all(r.reps_used > 0 for r in run_estimation_experiment(cfg))
+    assert all(r.reps_used > 0 for r in run_experiments([cfg])[0])
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
-    assert all(r.reps_used > 0 for r in run_coverage_experiment(cfg))
+    assert all(r.reps_used > 0 for r in run_experiments([cfg])[1])
 
 
 def test_one_gram_summary_per_replication(gram_builds):
@@ -319,11 +312,11 @@ def test_one_gram_summary_per_replication(gram_builds):
     # sample: theta_hat and wl_plugin in the estimation loop, theta_hat and
     # the case-2 plug-ins in the coverage loop. Replications run rep-major.
     cfg = small_config(reps=3)
-    run_estimation_experiment(cfg)
+    run_experiments([cfg])
     assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
     gram_builds.clear()
     cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
-    run_coverage_experiment(cfg)
+    run_experiments([cfg])
     assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
 
 
@@ -387,7 +380,7 @@ def test_one_call_runs_every_cell_rep_major(monkeypatch):
     est = small_config(reps=3)
     cov = small_config(family="laplace", p_list=(10,), reps=2, methods=(),
                        ci_methods=("laplace", "case1"))
-    alone = (run_estimation_experiment(est), run_coverage_experiment(cov))
+    alone = (run_experiments([est])[0], run_experiments([cov])[1])
     monkeypatch.setattr(harness, "replication_rng", recording)
     assert run_experiments([est, cov]) == alone
     normal, laplace = FAMILY_NAMES.index("normal"), FAMILY_NAMES.index("laplace")
@@ -399,9 +392,7 @@ def test_one_call_runs_every_cell_rep_major(monkeypatch):
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_rejected(workers):
     with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
-        run_estimation_experiment(small_config(reps=2), workers=workers)
-    with pytest.raises(InvalidParameterError, match="workers must be >= 1"):
-        run_coverage_experiment(small_config(reps=2, ci_methods=("case1",)), workers=workers)
+        run_experiments([small_config(reps=2)], workers=workers)
 
 
 def test_pooled_replications_run_with_one_blas_thread():
@@ -438,10 +429,10 @@ def test_pooled_replications_run_with_one_blas_thread():
 
 def test_serial_runs_never_touch_blas_threads(fake_blas):
     cfg = small_config(reps=2)
-    run_estimation_experiment(cfg, workers=1)
-    run_coverage_experiment(small_config(reps=2, ci_methods=("case1",)), workers=1)
+    run_experiments([cfg], workers=1)
+    run_experiments([small_config(reps=2, methods=(), ci_methods=("case1",))], workers=1)
     assert fake_blas.lookups == 0
     assert [lib.sets for lib in fake_blas.libs] == [[], []]
     # A pooled run holds the limit once, across all of its cells.
-    run_estimation_experiment(cfg, workers=2)
+    run_experiments([cfg], workers=2)
     assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2

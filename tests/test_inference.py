@@ -28,7 +28,6 @@ from ellipkurt import (
     theta_hat,
     toeplitz_ar1,
     ustats_fast,
-    xi_moment,
     z_quantile,
 )
 
@@ -44,10 +43,15 @@ def make_estimate(theta=1.0, t3_over_t2=1.0 / 60.0, n=100, p=100):
 def test_z_quantile():
     assert z_quantile(0.05) == pytest.approx(1.959963985, abs=1e-8)
     assert z_quantile(0.10) == pytest.approx(1.644853627, abs=1e-8)
-    with pytest.raises(InvalidParameterError):
-        z_quantile(0.0)
-    with pytest.raises(InvalidParameterError):
-        z_quantile(1.0)
+    est = make_estimate()
+    for alpha in (0.0, 1.0, "0.1", None):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            z_quantile(alpha)
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            confidence_interval(est, "laplace", alpha)
+    for method in ("bogus", None):
+        with pytest.raises(InvalidParameterError, match="unknown CI method"):
+            confidence_interval(est, method)
 
 
 def test_delta_hat():
@@ -101,21 +105,21 @@ def test_sigma2_case2_laplace_population_values():
     p = 100
     law = ExpChiProduct(p=p)
     pm = PlugInMoments(
-        varrho_hat=xi_moment(law, 3),
-        varphi_hat=xi_moment(law, 4),
+        varrho_hat=law.moment(3),
+        varphi_hat=law.moment(4),
     )
     s2 = sigma2_case2(2.0, pm, p)
     assert s2 == pytest.approx(4.847, abs=1e-3)
     p = 4000
     law = ExpChiProduct(p=p)
-    pm = PlugInMoments(varrho_hat=xi_moment(law, 3), varphi_hat=xi_moment(law, 4))
+    pm = PlugInMoments(varrho_hat=law.moment(3), varphi_hat=law.moment(4))
     assert sigma2_case2(2.0, pm, p) == pytest.approx(4.0, abs=0.03)
 
 
 def test_sigma2_case2_normal_population_values():
     p = 100
     law = ChiSquared(p=p)
-    pm = PlugInMoments(varrho_hat=xi_moment(law, 3), varphi_hat=xi_moment(law, 4))
+    pm = PlugInMoments(varrho_hat=law.moment(3), varphi_hat=law.moment(4))
     s2 = sigma2_case2(1.0, pm, p)
     assert 0.0 <= s2 < 0.1
 
@@ -141,7 +145,7 @@ def test_plugin_moments_normal():
     X = sample_normal_data(100, 50, seed=50)
     pm = plugin_moments_case2(X)
     p = 50
-    expected6 = xi_moment(ChiSquared(p=p), 3) / p**3
+    expected6 = ChiSquared(p=p).moment(3) / p**3
     assert abs(pm.varrho_hat / p**3 - expected6) <= 0.15 * expected6
 
 
@@ -152,7 +156,7 @@ def test_plugin_moments_laplace():
     )
     X = sample_data(spec, 200, np.random.default_rng(51))
     pm = plugin_moments_case2(X)
-    expected8 = xi_moment(ExpChiProduct(p=p), 4) / p**4
+    expected8 = ExpChiProduct(p=p).moment(4) / p**4
     assert abs(pm.varphi_hat / p**4 - expected8) <= 0.25 * expected8
 
 
@@ -185,16 +189,6 @@ def test_plugin_moments_match_covariance_reference(n, p):
     assert pm.varphi_hat == pytest.approx(
         p * (p + 2) * (p + 4) * (p + 6) * np.mean(g**4) / den4, rel=1e-10
     )
-
-
-def test_plugin_moments_theta_fields():
-    X = sample_normal_data(50, 10, seed=53)
-    pm = plugin_moments_case2(X, theta_hat=1.2)
-    assert pm.tau_hat == pytest.approx(tau_hat(1.2, 10))
-    assert pm.delta_hat == pytest.approx(delta_hat(1.2, 10))
-    assert pm.d_n == pytest.approx(dof_hat(1.2))
-    pm = plugin_moments_case2(X, theta_hat=0.9)
-    assert pm.d_n is None
 
 
 def test_interval_laplace_width():

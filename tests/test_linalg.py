@@ -15,9 +15,14 @@ from scipy.linalg.lapack import dtbtrs
 from ellipkurt import (
     InvalidParameterError,
     NotPSDError,
+    estimate_kurtosis,
+    oracle_theta,
+    plugin_moments_case2,
     sqrt_psd,
     toeplitz_ar1,
     trace_powers,
+    ustats_bruteforce,
+    wl_theta,
 )
 from ellipkurt import linalg
 from ellipkurt.linalg import (
@@ -44,10 +49,10 @@ def test_toeplitz_trace_powers_against_double_loop():
     # Independent oracle: direct double loop over the definition.
     p, rho = 100, 0.5
     M = toeplitz_ar1(p, rho)
-    tp = trace_powers(M)
+    t1, t2, _, _ = trace_powers(M)
     tr2 = math.fsum(rho ** (2 * abs(j - k)) for j in range(p) for k in range(p))
-    assert tp.t1 == pytest.approx(100.0, abs=1e-12)
-    assert tp.t2 == pytest.approx(tr2, rel=1e-12)
+    assert t1 == pytest.approx(100.0, abs=1e-12)
+    assert t2 == pytest.approx(tr2, rel=1e-12)
     assert tr2 == pytest.approx(165.7777777777, rel=1e-10)
 
 
@@ -120,13 +125,11 @@ def test_sqrt_psd_rejects_asymmetric():
 
 def test_trace_powers_identity():
     for p in range(1, 65):
-        tp = trace_powers(np.eye(p))
-        assert tp.as_tuple() == (p, p, p, p)
+        assert trace_powers(np.eye(p)) == (p, p, p, p)
 
 
 def test_trace_powers_diagonal():
-    tp = trace_powers(np.diag([1.0, 2.0]))
-    assert tp.as_tuple() == (3.0, 5.0, 9.0, 17.0)
+    assert trace_powers(np.diag([1.0, 2.0])) == (3.0, 5.0, 9.0, 17.0)
 
 
 def test_trace_powers_matches_naive_powers():
@@ -135,17 +138,15 @@ def test_trace_powers_matches_naive_powers():
         p = int(rng.integers(1, 17))
         A = rng.normal(size=(p, p))
         M = 0.5 * (A + A.T)
-        tp = trace_powers(M)
         naive = [np.trace(np.linalg.matrix_power(M, k)) for k in (1, 2, 3, 4)]
-        for got, want in zip(tp.as_tuple(), naive):
+        for got, want in zip(trace_powers(M), naive):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_trace_powers_toeplitz_vs_naive():
     M = toeplitz_ar1(4, 0.5)
-    tp = trace_powers(M)
     naive = [np.trace(np.linalg.matrix_power(M, k)) for k in (1, 2, 3, 4)]
-    for got, want in zip(tp.as_tuple(), naive):
+    for got, want in zip(trace_powers(M), naive):
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -203,8 +204,8 @@ def test_centered_gram_trace_powers_match_other_side(n, p):
     X = rng.normal(size=(n, p))
     Xc = X - X.mean(axis=0)
     other = Xc @ Xc.T if p < n else Xc.T @ Xc
-    got = trace_powers(centered_gram(X).M).as_tuple()
-    want = trace_powers(0.5 * (other + other.T)).as_tuple()
+    got = trace_powers(centered_gram(X).M)
+    want = trace_powers(0.5 * (other + other.T))
     for a, b in zip(got, want):
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -233,14 +234,21 @@ def test_centered_gram_overflow_is_typed(scale):
     "X", [np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 1.0]]),
           np.array([[1.0], [-np.inf]]), np.array([[np.nan, np.inf], [-np.inf, 2.0]]),
           np.array([[np.inf, -np.inf]]), np.ones(3), np.ones((0, 3)), np.ones((3, 0)),
-          np.ones((2, 2, 2))],
-    ids=["nan", "inf", "-inf", "mixed", "+-inf", "1-d", "empty", "no-columns", "3-d"],
+          np.ones((2, 2, 2)), [["1", "2"], ["3", "4"]], [[1.0, 2.0], [3.0]],
+          np.array([[1.0, 2.0j], [3.0, 4.0]]), np.array([[1.0, "x"], [3.0, 4.0]], dtype=object)],
+    ids=["nan", "inf", "-inf", "mixed", "+-inf", "1-d", "empty", "no-columns", "3-d",
+         "strings", "ragged", "complex", "object-str"],
 )
 def test_centered_gram_rejects_non_finite_and_non_matrix(X):
-    # The typed error is the only signal: no numpy warning of any kind.
+    # Every data entry point raises the typed error and nothing else: no
+    # bare ValueError, no numpy warning, no complex cast.
+    p = X.shape[-1] if isinstance(X, np.ndarray) else 2
+    entry_points = (as_data_matrix, centered_gram, estimate_kurtosis, ustats_bruteforce,
+                    wl_theta, plugin_moments_case2,
+                    lambda X: oracle_theta(X, np.zeros(p), AR1(max(p, 1), 0.5)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for check in (as_data_matrix, centered_gram):
+        for check in entry_points:
             with pytest.raises(InvalidParameterError):
                 check(X)
 

@@ -18,8 +18,6 @@ from ellipkurt import (
     sample_xi,
     sqrt_psd,
     toeplitz_ar1,
-    true_theta,
-    xi_moment,
 )
 from ellipkurt.linalg import AR1
 
@@ -138,7 +136,7 @@ def test_fourth_moment_matches_true_theta(law):
     draws = law.sample_squared(rng, 300_000)
     vals = draws**2 / (law.p * (law.p + 2))
     se = vals.std() / math.sqrt(vals.size)
-    assert abs(vals.mean() - true_theta(law)) <= 4 * se
+    assert abs(vals.mean() - law.theta()) <= 4 * se
 
 
 def test_sample_xi_nonnegative():
@@ -148,10 +146,10 @@ def test_sample_xi_nonnegative():
 
 
 def test_true_theta_values():
-    assert true_theta(ChiSquared(p=123)) == 1.0
-    assert true_theta(ScaledF(p=100, d=9)) == pytest.approx(1.4)
-    assert true_theta(KotzHalf(p=100)) == pytest.approx(103 / 101)
-    assert true_theta(ExpChiProduct(p=7)) == 2.0
+    assert ChiSquared(p=123).theta() == 1.0
+    assert ScaledF(p=100, d=9).theta() == pytest.approx(1.4)
+    assert KotzHalf(p=100).theta() == pytest.approx(103 / 101)
+    assert ExpChiProduct(p=7).theta() == 2.0
 
 
 def test_bare_law_has_no_closed_forms():
@@ -159,9 +157,9 @@ def test_bare_law_has_no_closed_forms():
         p = 3
 
     with pytest.raises(InvalidParameterError, match="no kurtosis known"):
-        true_theta(Bare())
+        Bare().theta()
     with pytest.raises(InvalidParameterError, match="no moment formula known"):
-        xi_moment(Bare(), 2)
+        Bare().moment(2)
 
 
 def test_make_law():

@@ -21,11 +21,9 @@ from ellipkurt import (
     sphere_moment_3,
     sphere_moment_4,
     toeplitz_ar1,
-    true_theta,
     var_centered_sq,
     var_quadform,
     validation,
-    xi_moment,
 )
 
 ALL_LAWS = [
@@ -102,13 +100,13 @@ def test_sphere_moments_monte_carlo():
 
 
 def test_xi_moment_chi2():
-    assert xi_moment(ChiSquared(p=10), 2) == 120.0
-    assert xi_moment(ChiSquared(p=10), 1) == 10.0
+    assert ChiSquared(p=10).moment(2) == 120.0
+    assert ChiSquared(p=10).moment(1) == 10.0
     assert chi2_moment(10, 3) == 10 * 12 * 14
 
 
 def test_xi_moment_kotz():
-    got = xi_moment(KotzHalf(p=100), 2)
+    got = KotzHalf(p=100).moment(2)
     assert got == pytest.approx(100 * 101 * 102 * 103 / 101**2, rel=1e-14)
     theta = got / (100 * 102)
     assert theta == pytest.approx(103 / 101, rel=1e-14)
@@ -116,30 +114,30 @@ def test_xi_moment_kotz():
 
 def test_xi_moment_scaled_f_theta():
     law = ScaledF(p=100, d=9)
-    theta = xi_moment(law, 2) / (100 * 102)
+    theta = law.moment(2) / (100 * 102)
     assert theta == pytest.approx(1.4, rel=1e-12)
 
 
 def test_xi_moment_exp_chi_product():
     law = ExpChiProduct(p=10)
-    assert xi_moment(law, 2) == pytest.approx(2.0 * 120.0, rel=1e-14)
-    assert xi_moment(law, 3) == pytest.approx(6.0 * 10 * 12 * 14, rel=1e-14)
+    assert law.moment(2) == pytest.approx(2.0 * 120.0, rel=1e-14)
+    assert law.moment(3) == pytest.approx(6.0 * 10 * 12 * 14, rel=1e-14)
 
 
 def test_xi_moment_nonexistent():
     law = ScaledF(p=10, d=9)
     # d = 9 supports orders up to 4 (2m < d); all should be finite.
     for m in (1, 2, 3, 4):
-        assert math.isfinite(xi_moment(law, m))
+        assert math.isfinite(law.moment(m))
     # Constructing d <= 8 is rejected up front, so exercise the moment
     # bound through the order check instead.
     with pytest.raises(InvalidParameterError):
-        xi_moment(law, 5)
+        law.moment(5)
 
 
 def test_xi_moment_order_validation():
     with pytest.raises(InvalidParameterError):
-        xi_moment(ChiSquared(p=5), 0)
+        ChiSquared(p=5).moment(0)
 
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.family)
@@ -149,7 +147,7 @@ def test_eta1_is_one(law):
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.family)
 def test_eta2_is_theta(law):
-    assert eta(law, 2) == pytest.approx(true_theta(law), rel=1e-12)
+    assert eta(law, 2) == pytest.approx(law.theta(), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -167,11 +165,11 @@ def test_xi_moments_match_monte_carlo(law):
         if isinstance(law, ScaledF) and law.d <= 4 * m:
             scale = law.p * (law.d - 2) / law.d
             ref = scale**m * scipy.stats.f(law.p, law.d).moment(m)
-            assert xi_moment(law, m) == pytest.approx(ref, rel=1e-10)
+            assert law.moment(m) == pytest.approx(ref, rel=1e-10)
             continue
         vals = draws**m
         se = vals.std() / math.sqrt(vals.size)
-        assert abs(vals.mean() - xi_moment(law, m)) <= 4 * se
+        assert abs(vals.mean() - law.moment(m)) <= 4 * se
 
 
 def test_var_quadform_identity_normal():

@@ -22,6 +22,9 @@ with a method-specific asymptotic scale sigma_hat:
   read the same centered Gram summary as the estimate itself, so a caller
   builds it once per sample (:func:`ellipkurt.linalg.centered_gram`) and
   passes it to both.
+
+The normal quantile z comes from :class:`statistics.NormalDist`, so this
+module, and with it ``estimate``, imports no scipy.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateDataError,
@@ -85,15 +88,25 @@ class PlugInMoments:
     varphi_hat: float
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def z_quantile(alpha: float) -> float:
-    """Upper alpha/2 standard-normal quantile used by all intervals.
+    """Upper alpha/2 standard-normal quantile used by all intervals: the
+    inverse normal CDF at 1 - alpha/2, from the standard library.
 
     Raises :class:`InvalidParameterError` unless alpha is a real number in
-    (0, 1).
+    (0, 1) for which 1 - alpha/2 is below 1.0 in double precision; below
+    about 1.1e-16 it rounds to 1.0, whose quantile is infinite.
     """
     if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must be in (0, 1), got {alpha!r}")
-    return float(ndtri(1.0 - alpha / 2.0))
+    level = 1.0 - alpha / 2.0
+    if level == 1.0:
+        raise InvalidParameterError(
+            f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1 and z would be infinite"
+        )
+    return _STANDARD_NORMAL.inv_cdf(level)
 
 
 def delta_hat(theta_hat: float, p: int) -> float:

@@ -25,12 +25,19 @@ reads it (``ustats_fast``, ``wl_theta``, ``plugin_moments_case2``); each
 of them also accepts the raw data and then builds it itself. Last,
 :data:`BLAS_LIMIT` holds the OpenBLAS libraries that numpy and scipy
 bundle at one thread while concurrent callers run.
+
+Importing this module imports no scipy module, and neither do the AR(1)
+maps, the Gram summary or the OpenBLAS lookups, which find scipy's
+libraries by path: a Python module of scipy is imported only by the two
+callers that need one, :meth:`Dense.whiten` (``solve_triangular``) and
+the f2py fallback of :meth:`LowerBandSolve.solve`, when first called.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.util
 import math
 import operator
 import os
@@ -41,9 +48,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtbtrs
 
 from .errors import InvalidParameterError, NotPSDError, SingularMatrixError
 
@@ -215,7 +219,10 @@ class Dense:
         """Rows y of Y mapped to L^{-1} y with L the Cholesky factor.
 
         Finiteness of Y is the caller's contract; the solve skips the scan.
+        scipy is imported here, on first use, so that no other path loads it.
         """
+        from scipy.linalg import solve_triangular
+
         return solve_triangular(self.chol, np.asarray(Y, dtype=float).T, lower=True,
                                 check_finite=False).T
 
@@ -493,9 +500,13 @@ _OPENBLAS_SYMBOLS = tuple(f"{prefix}_{{}}_num_threads{suffix}"
 def _openblas_libraries(misses: list[str]) -> Iterator[tuple[str, ctypes.CDLL]]:
     """Each OpenBLAS library bundled with numpy and scipy, loaded, with its
     path; one that fails to load is noted in ``misses`` instead. Loading a
-    library the process already holds returns that same library."""
-    for pkg in (np, scipy):
-        pkg_dir = os.path.dirname(pkg.__file__)
+    library the process already holds returns that same library. scipy's
+    directory is found without importing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    for init in (np.__file__, scipy_spec and scipy_spec.origin):
+        if not init:
+            continue
+        pkg_dir = os.path.dirname(init)
         for path in sorted(glob.glob(f"{pkg_dir}.libs/*openblas*")):
             try:
                 yield path, ctypes.CDLL(path)
@@ -599,6 +610,8 @@ class LowerBandSolve:
                 or not (Z.flags.c_contiguous and Z.flags.writeable and Z.flags.aligned)
                 or not (ab.flags.f_contiguous and ab.flags.aligned)
                 or max(Z.size, ab.size) > _INT_MAX):
+            from scipy.linalg.lapack import dtbtrs
+
             X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
             return X.T, int(info)
         n, p = Z.shape

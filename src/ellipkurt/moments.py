@@ -11,9 +11,17 @@ the Monte-Carlo property tests and the checks in
 Throughout, eta_m denotes E xi^{2m} divided by the m-th moment of a
 chi-squared variable with p degrees of freedom, so eta_1 = 1 under the
 E xi^2 = p normalization and eta_2 is the kurtosis parameter.
+
+Each oracle of a matrix returns a finite float or raises
+:class:`~ellipkurt.errors.InvalidParameterError` when its value, a
+polynomial of degree up to 4 in the matrix entries, overflows double
+precision.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -22,6 +30,29 @@ from .linalg import check_symmetric, trace_powers
 from .models import XiLaw, chi2_moment
 
 
+def _finite_oracle(oracle):
+    """``oracle`` with every overflow turned into
+    :class:`InvalidParameterError`: numpy's inf (its warning silenced) and
+    the ``OverflowError`` that float ``**`` raises. The arithmetic is left
+    as it is, so finite values keep their bits."""
+
+    @functools.wraps(oracle)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = oracle(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise InvalidParameterError(
+                f"{oracle.__name__} is not finite: its value overflows double precision"
+            )
+        return value
+
+    return checked
+
+
+@_finite_oracle
 def sphere_moment_1(A) -> float:
     """E[u' A u] = tr A / p for u uniform on the unit sphere."""
     A = check_symmetric(A, "A")
@@ -29,6 +60,7 @@ def sphere_moment_1(A) -> float:
     return float(np.trace(A)) / p
 
 
+@_finite_oracle
 def sphere_moment_2(A, B) -> float:
     """E[(u' A u)(u' B u)] = (tr A tr B + 2 tr AB) / (p (p + 2))."""
     A = check_symmetric(A, "A")
@@ -40,6 +72,7 @@ def sphere_moment_2(A, B) -> float:
     return num / (p * (p + 2))
 
 
+@_finite_oracle
 def sphere_moment_3(A, B, C) -> float:
     """Third mixed moment of quadratic forms in a sphere vector.
 
@@ -73,6 +106,7 @@ def sphere_quartic(t1: float, t2: float, t3: float, t4: float) -> float:
     return sq * sq + 12.0 * sq * t2 + 12.0 * t2 * t2 + 32.0 * t1 * t3 + 48.0 * t4
 
 
+@_finite_oracle
 def sphere_moment_4(A) -> float:
     """E[(u' A u)^4] for u uniform on the unit sphere:
     :func:`sphere_quartic` of the trace powers of A divided by
@@ -92,6 +126,7 @@ def eta(law: XiLaw, m: int) -> float:
     return law.moment(m) / chi2_moment(law.p, m)
 
 
+@_finite_oracle
 def var_quadform(sigma, law: XiLaw) -> float:
     """Variance of ||X0||^2 for a centered elliptical vector X0 with
     covariance-scale sigma: 2 theta tr sigma^2 + (theta - 1) tr^2 sigma."""
@@ -101,6 +136,7 @@ def var_quadform(sigma, law: XiLaw) -> float:
     return 2.0 * theta * t2 + (theta - 1.0) * t1**2
 
 
+@_finite_oracle
 def var_centered_sq(sigma, law: XiLaw, center: str = "trace") -> float:
     """Variance of (||X0||^2 - c)^2 for a centered elliptical vector.
 

@@ -213,6 +213,16 @@ def test_estimate_bad_alpha_exit_2(tmp_path, capsys, ci, alpha):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alpha", ["1e-17", "1e-20", "5e-324"])
+def test_estimate_alpha_whose_z_is_infinite_exit_2(tmp_path, capsys, alpha):
+    path = tmp_path / "data.csv"
+    write_csv(path, np.random.default_rng(3).normal(size=(10, 2)))
+    assert main(["estimate", "--input", str(path), "--ci", "all", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert "alpha" in captured.err and "too small" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_insufficient_sample_exit_1(tmp_path, capsys):
     path = tmp_path / "small.csv"
     path.write_text("1,2\n3,4\n5,6\n")
@@ -486,3 +496,20 @@ def test_simulate_preset_matches_golden_csv(tmp_path, capsys, preset, reps, gold
     assert main(args) == 0
     csv_name = golden.rpartition("-")[2]
     assert (out_dir / csv_name).read_bytes() == (DATA / golden).read_bytes()
+
+
+ESTIMATE_GOLDEN = DATA / "estimate-t12-n60-p6-seed13"
+
+
+@pytest.mark.parametrize("alpha", ["0.05", "1e-06"])
+def test_estimate_matches_golden_output(tmp_path, capsys, alpha):
+    # What `estimate --ci all` prints and writes for a committed sample is a
+    # fixed contract: stdout, estimate.csv and intervals.csv byte for byte.
+    out_dir = tmp_path / "out"
+    args = ["estimate", "--input", str(ESTIMATE_GOLDEN / "input.csv"), "--ci", "all",
+            "--alpha", alpha, "--out-dir", str(out_dir)]
+    assert main(args) == 0
+    golden = ESTIMATE_GOLDEN / f"alpha{alpha}"
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text(encoding="utf-8")
+    for name in ("estimate.csv", "intervals.csv"):
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes()

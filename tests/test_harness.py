@@ -294,7 +294,8 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     monkeypatch.setattr(linalg, "sqrt_psd", forbidden)
-    monkeypatch.setattr(linalg, "solve_triangular", forbidden)
+    # Dense.whiten imports solve_triangular when called, so this is the name it finds.
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
     monkeypatch.setattr(linalg, "toeplitz_ar1", forbidden)
     # The AR(1) root is a triangular-banded solve, not a banded LU.
     monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)

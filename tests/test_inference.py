@@ -12,6 +12,7 @@ from ellipkurt import (
     DegenerateDataError,
     EllipticalSpec,
     ExpChiProduct,
+    ExperimentConfig,
     InvalidDofError,
     InvalidParameterError,
     PlugInMoments,
@@ -52,6 +53,31 @@ def test_z_quantile():
     for method in ("bogus", None):
         with pytest.raises(InvalidParameterError, match="unknown CI method"):
             confidence_interval(est, method)
+
+
+@pytest.mark.parametrize("alpha", [1e-17, 1e-300, 5e-324])
+def test_alpha_whose_level_rounds_to_one_is_rejected(alpha):
+    # 1 - alpha/2 rounds to 1.0, whose quantile is infinite: a typed error,
+    # never an interval [-inf, inf].
+    assert 1.0 - alpha / 2.0 == 1.0
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        z_quantile(alpha)
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        confidence_interval(make_estimate(), "case1", alpha)
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        ExperimentConfig(family="normal", p_list=(10,), alpha=alpha)
+
+
+def test_z_quantile_matches_scipy_ndtri():
+    # The standard library's inverse CDF against scipy's ndtri, over alphas
+    # from the smallest accepted decades to nearly 1.
+    from scipy.special import ndtri
+
+    alphas = np.concatenate([np.geomspace(1e-15, 0.999, 2000), np.linspace(0.001, 0.999, 999)])
+    for alpha in alphas.tolist():
+        assert z_quantile(alpha) == pytest.approx(float(ndtri(1.0 - alpha / 2.0)), rel=2e-15, abs=0.0)
+    # The smallest alpha whose level is below 1 still gives a finite z.
+    assert math.isfinite(z_quantile(2.3e-16))
 
 
 def test_delta_hat():

@@ -241,3 +241,47 @@ def test_variances_nonnegative(law):
     assert var_quadform(sigma, law) >= 0.0
     assert var_centered_sq(sigma, law, center="trace") >= 0.0
     assert var_centered_sq(sigma, law, center="theta_trace") >= 0.0
+
+
+# Each oracle of a matrix as a function of sigma, with its degree in sigma.
+SCALED_ORACLES = {
+    "sphere_moment_1": (1, sphere_moment_1),
+    "sphere_moment_2": (2, lambda S: sphere_moment_2(S, S)),
+    "sphere_moment_3": (3, lambda S: sphere_moment_3(S, S, S)),
+    "sphere_moment_4": (4, sphere_moment_4),
+    "var_quadform": (2, lambda S: var_quadform(S, ExpChiProduct(p=5))),
+    "var_centered_sq": (4, lambda S: var_centered_sq(S, ExpChiProduct(p=5))),
+    "var_centered_sq-theta": (4, lambda S: var_centered_sq(S, ExpChiProduct(p=5), "theta_trace")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+@pytest.mark.parametrize("name", list(SCALED_ORACLES))
+def test_oracles_at_overflowing_scales_raise_a_typed_error(name, scale):
+    # An oracle of degree k at sigma * s is s^k times its value at sigma:
+    # that value where it is a finite double, InvalidParameterError where it
+    # is not, and never inf, a bare OverflowError or a warning.
+    degree, oracle = SCALED_ORACLES[name]
+    base = toeplitz_ar1(5, 0.5)
+    at_one = oracle(base)
+    if math.log10(at_one) + degree * math.log10(scale) < 308:
+        assert oracle(base * scale) == pytest.approx(at_one * scale**degree, rel=1e-12)
+    else:
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            oracle(base * scale)
+
+
+def test_oracle_values_at_unit_scale_are_pinned():
+    # The overflow guard leaves the arithmetic alone: exact values at s = 1.
+    base = toeplitz_ar1(5, 0.5)
+    got = {name: oracle(base) for name, (_, oracle) in SCALED_ORACLES.items()}
+    assert got == {
+        "sphere_moment_1": 1.0,
+        "sphere_moment_2": 1.1397321428571427,
+        "sphere_moment_3": 1.459077380952381,
+        "sphere_moment_4": 2.0574444923566015,
+        "var_quadform": 54.78125,
+        "var_centered_sq": 123035.1611328125,
+        "var_centered_sq-theta": 92294.5361328125,
+    }

@@ -39,7 +39,7 @@ from .harness import (
     usable_cores,
 )
 from .inference import confidence_interval, plugin_moments_case2, z_quantile
-from .linalg import BLAS_LIMIT, centered_gram
+from .linalg import OPENBLAS, centered_gram
 from .models import FAMILY_NAMES
 from .ustat import theta_hat, ustats_fast
 from .validation import SUITES, run_suite
@@ -245,8 +245,8 @@ def cmd_simulate(args) -> int:
     print(f"seed: {configs[0].seed}")
     if args.workers == 1:
         blas = "serial; OpenBLAS threads left as set"
-    elif BLAS_LIMIT.reason:
-        blas = f"OpenBLAS threads not limited: {BLAS_LIMIT.reason}"
+    elif OPENBLAS.reason:
+        blas = f"OpenBLAS threads not limited: {OPENBLAS.reason}"
     else:
         blas = "OpenBLAS held to 1 thread while replications run"
     print(f"workers: {args.workers} ({blas})")

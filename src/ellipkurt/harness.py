@@ -23,12 +23,14 @@ cell (config, p), then replication 1, and so on. Small-p replications are
 mostly interpreter work, which holds the interpreter lock, while large-p
 ones spend their time in the generator, in numpy's array loops and Gram
 products, and in the AR(1) root's LAPACK solve, all of which release it
-(the root through ``ctypes``, :data:`ellipkurt.linalg.DTBTRS`; scipy's
-f2py wrapper, its fallback, holds the lock). So threads that run at the
-same moment mix the two kinds and both cores stay busy; a pool per cell or
-per experiment would run the small-p cells alone. While the pool runs,
-OpenBLAS is held at one thread (:data:`ellipkurt.linalg.BLAS_LIMIT`): at
-these matrix sizes its own threads buy nothing and would compete with the
+(the root calls numpy's OpenBLAS through ``ctypes``,
+:data:`ellipkurt.linalg.OPENBLAS`; scipy's f2py wrapper, its fallback
+where that library lacks the routine, holds the lock). So threads that
+run at the same moment mix the two kinds and both cores stay busy; a pool
+per cell or per experiment would run the small-p cells alone. While the
+pool runs, numpy's OpenBLAS, the one BLAS that a replication of an AR(1)
+cell calls, is held at one thread (``OPENBLAS.one_thread``): at these
+matrix sizes its own threads buy nothing and would compete with the
 pool for the same cores. A serial run leaves OpenBLAS as it is.
 """
 
@@ -52,7 +54,7 @@ import numpy as np
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
 from .inference import CiMethod, confidence_interval, plugin_moments_case2, z_quantile
-from .linalg import AR1, BLAS_LIMIT, _check_ar1, centered_gram
+from .linalg import AR1, OPENBLAS, _check_ar1, centered_gram
 from .models import FAMILY_LAWS, FAMILY_NAMES, EllipticalSpec, XiLaw, make_law, sample_data
 from .ustat import theta_hat, ustats_fast
 
@@ -222,7 +224,7 @@ def _replication_map(workers: int, tasks: int) -> Iterator[Callable]:
     if threads <= 1:
         yield map
         return
-    with BLAS_LIMIT.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+    with OPENBLAS.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
         yield pool.map
 
 

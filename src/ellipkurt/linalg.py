@@ -9,11 +9,7 @@ without a second n x p array; ``whitened_sq_norms(Y)`` gives the squared
 norms ||L^{-1} y||^2 of the rows. :class:`AR1` does all of them in O(n p)
 from the closed-form Cholesky factor of the AR(1) matrix: the root is one
 in-place LAPACK triangular-banded solve (``dtbtrs``) of the unit
-lower-bidiagonal recursion, the whitening one subtraction. The solve
-(:data:`DTBTRS`) calls scipy's OpenBLAS through ``ctypes``, which releases
-the interpreter lock, so threads sampling at once run their roots at once;
-where that routine is missing it runs scipy's f2py wrapper, which holds
-the lock, and ``DTBTRS.reason`` says why.
+lower-bidiagonal recursion, the whitening one subtraction.
 :class:`Dense` wraps any symmetric matrix, sampling with its symmetric
 square root and whitening with its Cholesky factor. Also here: PSD square
 roots, trace powers, and the centered Gram summary of a data matrix
@@ -22,22 +18,27 @@ centers data or forms a Gram product. It centers a copy of the data
 unless its caller, which owns the sample, lets it center in place. The
 summary is built once per sample and handed to every statistic that
 reads it (``ustats_fast``, ``wl_theta``, ``plugin_moments_case2``); each
-of them also accepts the raw data and then builds it itself. Last,
-:data:`BLAS_LIMIT` holds the OpenBLAS libraries that numpy and scipy
-bundle at one thread while concurrent callers run.
+of them also accepts the raw data and then builds it itself.
+
+Last, :data:`OPENBLAS` is numpy's bundled OpenBLAS, the one native library
+the package drives, found by path on first use: it holds the library at
+one thread while concurrent callers run, and it runs the AR(1) root's
+``dtbtrs`` through ``ctypes``, which releases the interpreter lock, so
+threads sampling at once run their roots at once. Where numpy's library
+lacks a routine, the hold does nothing, the root runs scipy's f2py
+wrapper, which holds the lock, and ``OPENBLAS.reason`` says why.
 
 Importing this module imports no scipy module, and neither do the AR(1)
-maps, the Gram summary or the OpenBLAS lookups, which find scipy's
-libraries by path: a Python module of scipy is imported only by the two
-callers that need one, :meth:`Dense.whiten` (``solve_triangular``) and
-the f2py fallback of :meth:`LowerBandSolve.solve`, when first called.
+maps, the Gram summary or the OpenBLAS lookup: a Python module of scipy is
+imported only by the two callers that need one, :meth:`Dense.whiten`
+(``solve_triangular``) and the f2py fallback of :meth:`OpenBlas.solve`,
+when first called.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
-import importlib.util
 import math
 import operator
 import os
@@ -130,11 +131,9 @@ class AR1:
         place, where B = diag(1, s, ..., s) L^{-1} is unit lower bidiagonal
         with subdiagonal -rho: x_j = rhs_j + rho x_{j-1}, one contiguous
         column of the F-ordered transpose Z' at a time. The BLAS kernel may
-        fuse that multiply-add. The solve is :meth:`LowerBandSolve.solve`:
-        a direct ``ctypes`` call that releases the interpreter lock, or,
-        where that is unavailable (``DTBTRS.reason``) or for a Z it cannot
-        take (not C-ordered float64), scipy's f2py wrapper, which gives the
-        same bits and solves a copy of such a Z.
+        fuse that multiply-add. The solve is :meth:`OpenBlas.solve`, which
+        releases the interpreter lock and solves a Z it cannot take as it
+        is (not C-ordered float64) in a copy.
         """
         rho = float(self.rho)
         scale = np.asarray(scale, dtype=float)[..., None]
@@ -143,7 +142,7 @@ class AR1:
         ab = np.empty((2, self.p), order="F")
         ab[0] = 1.0
         ab[1] = -rho
-        X, info = DTBTRS.solve(ab, Z)
+        X, info = OPENBLAS.solve(ab, Z)
         if info != 0:
             raise InvalidParameterError(f"AR(1) root: LAPACK dtbtrs returned info={info}")
         return X
@@ -404,14 +403,14 @@ def as_float_matrix(X) -> np.ndarray:
     Raises :class:`InvalidParameterError` for complex, str and bytes
     arrays, which a float conversion would cast with a warning or parse,
     for input that does not convert to floats (a ragged or non-numeric
-    list), and unless X is 2-d with at least one row and one column. The
-    values are not read.
+    list, or a Python integer beyond the double range), and unless X is
+    2-d with at least one row and one column. The values are not read.
     """
     try:
         X = np.asarray(X)
         if X.dtype.kind not in "cSU":
             X = X.astype(float, copy=False)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidParameterError(f"data must be a numeric matrix: {exc}") from None
     if X.dtype.kind in "cSU":
         raise InvalidParameterError(f"data must be real numbers, got dtype {X.dtype}")
@@ -483,113 +482,116 @@ def centered_gram(X, overwrite_x: bool = False) -> CenteredGram:
 
 
 @dataclass(frozen=True)
-class OpenBlas:
-    """The thread-count getter and setter of one loaded OpenBLAS library."""
+class _Library:
+    """The routines the package calls in one loaded OpenBLAS library."""
 
     path: str
     get: Callable[[], int]
     set: Callable[[int], None]
+    dtbtrs: Callable[..., None]
 
 
-# Exported names by OpenBLAS build: numpy's ILP64 and scipy's LP64 wheels
-# prefix theirs with scipy_ (numpy's also carries the 64_ suffix).
-_OPENBLAS_SYMBOLS = tuple(f"{prefix}_{{}}_num_threads{suffix}"
-                          for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
-
-
-def _openblas_libraries(misses: list[str]) -> Iterator[tuple[str, ctypes.CDLL]]:
-    """Each OpenBLAS library bundled with numpy and scipy, loaded, with its
-    path; one that fails to load is noted in ``misses`` instead. Loading a
-    library the process already holds returns that same library. scipy's
-    directory is found without importing scipy."""
-    scipy_spec = importlib.util.find_spec("scipy")
-    for init in (np.__file__, scipy_spec and scipy_spec.origin):
-        if not init:
-            continue
-        pkg_dir = os.path.dirname(init)
-        for path in sorted(glob.glob(f"{pkg_dir}.libs/*openblas*")):
-            try:
-                yield path, ctypes.CDLL(path)
-            except OSError as exc:
-                misses.append(f"{os.path.basename(path)}: {exc}")
-
-
-def find_openblas() -> tuple[list[OpenBlas], str | None]:
-    """The OpenBLAS libraries bundled with numpy and scipy, and the reason
-    when there is none. Setting their thread counts acts on numpy and scipy,
-    which hold the same libraries."""
-    libs, misses = [], []
-    for path, lib in _openblas_libraries(misses):
-        name = next((n for n in _OPENBLAS_SYMBOLS if hasattr(lib, n.format("set"))), None)
-        if name is None:
-            misses.append(f"{os.path.basename(path)}: no thread-count symbol")
-            continue
-        get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        libs.append(OpenBlas(path, get, set_))
-    if libs:
-        return libs, None
-    return libs, "; ".join(misses) or "no OpenBLAS library bundled with numpy or scipy"
-
-
-# LAPACK dtbtrs in scipy's LP64 OpenBLAS, the routine and library that
-# scipy.linalg.lapack.dtbtrs calls (numpy's ILP64 build exports only
-# scipy_dtbtrs_64_, which takes 64-bit integers).
-_DTBTRS_SYMBOL = "scipy_dtbtrs_"
-_INT_MAX = 2**31 - 1
-_CHAR, _INT = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+# Exported names in numpy's OpenBLAS, the ILP64 scipy-openblas64 build of
+# numpy 2 wheels: the thread-count getter and setter and LAPACK dtbtrs.
+_THREADS_SYMBOL = "scipy_openblas_{}_num_threads64_"
+_DTBTRS_SYMBOL = "scipy_dtbtrs_64_"
+_I64 = ctypes.POINTER(ctypes.c_int64)
 # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, then the hidden
 # lengths of the three character arguments that gfortran passes.
-_DTBTRS_ARGTYPES = [_CHAR, _CHAR, _CHAR, _INT, _INT, _INT, ctypes.c_void_p, _INT,
-                    ctypes.c_void_p, _INT, _INT] + [ctypes.c_size_t] * 3
+_DTBTRS_ARGTYPES = ([ctypes.c_char_p] * 3 + [_I64] * 3
+                    + [ctypes.c_void_p, _I64, ctypes.c_void_p, _I64, _I64] + [ctypes.c_size_t] * 3)
 
 
-def find_dtbtrs() -> tuple[Callable[..., None] | None, str | None]:
-    """LAPACK ``dtbtrs`` of scipy's LP64 OpenBLAS as a ``ctypes`` function,
-    and the reason when there is none (scipy built on another LAPACK)."""
+def _find_openblas() -> tuple[_Library | None, str | None]:
+    """numpy's bundled OpenBLAS, loaded, and the reason when there is none
+    that exports every routine the package calls (numpy built on another
+    BLAS, or on an older OpenBLAS build). Loading a library the process
+    already holds returns that same library, so its thread count is
+    numpy's."""
     misses = []
-    for path, lib in _openblas_libraries(misses):
-        fn = getattr(lib, _DTBTRS_SYMBOL, None)
-        if fn is not None:
-            fn.argtypes, fn.restype = _DTBTRS_ARGTYPES, None
-            return fn, None
-        misses.append(f"{os.path.basename(path)}: no {_DTBTRS_SYMBOL}")
-    return None, "; ".join(misses) or "no OpenBLAS library bundled with numpy or scipy"
+    symbols = (_THREADS_SYMBOL.format("get"), _THREADS_SYMBOL.format("set"), _DTBTRS_SYMBOL)
+    for path in sorted(glob.glob(f"{os.path.dirname(np.__file__)}.libs/*openblas*")):
+        name = os.path.basename(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError as exc:
+            misses.append(f"{name}: {exc}")
+            continue
+        missing = [s for s in symbols if not hasattr(lib, s)]
+        if missing:
+            misses.append(f"{name}: no {', '.join(missing)}")
+            continue
+        get, set_, dtbtrs = (getattr(lib, s) for s in symbols)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        dtbtrs.argtypes, dtbtrs.restype = _DTBTRS_ARGTYPES, None
+        return _Library(path, get, set_, dtbtrs), None
+    return None, "; ".join(misses) or "no OpenBLAS library bundled with numpy"
 
 
-class LowerBandSolve:
-    """In-place unit lower triangular banded solves that release the
-    interpreter lock.
+class OpenBlas:
+    """numpy's bundled OpenBLAS, the one native library the package drives.
 
-    The f2py wrapper ``scipy.linalg.lapack.dtbtrs`` holds the interpreter
-    lock for the whole solve, so threads that each solve run one at a time.
-    :meth:`solve` calls the same LAPACK routine of the same library through
-    ``ctypes``, whose calls release the lock, with the same arguments and
-    so the same bits. The routine is looked up on first use (:data:`DTBTRS`
-    is the process's one instance). Where it is missing, and for arrays the
-    direct call cannot take, :meth:`solve` runs the f2py wrapper, and
-    :attr:`reason` says why the direct call is unavailable.
+    The library is looked up on first use, once, under a lock
+    (:data:`OPENBLAS` is the process's one instance): :attr:`library` is
+    what was found and :attr:`reason` says why nothing was. Two things
+    use it:
+
+    - :meth:`one_thread` holds the library at one thread while any holder
+      is inside it. The thread count is process-wide, and holders are
+      counted under the lock: the first one in saves the count and sets it
+      to 1, and the last one out restores it, also when an exception
+      escapes. Without a library it does nothing.
+    - :meth:`solve` calls LAPACK ``dtbtrs`` through ``ctypes``, whose calls
+      release the interpreter lock, so threads that solve at once run at
+      once. Without a library it runs scipy's f2py wrapper
+      ``scipy.linalg.lapack.dtbtrs``, which holds the lock for the whole
+      solve; the two gave the same bits in every case tested.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._found: tuple[Callable[..., None] | None, str | None] | None = None
+        self._found: tuple[_Library | None, str | None] | None = None
+        self._holders = 0
+        self._saved = 0
 
-    def _resolve(self) -> tuple[Callable[..., None] | None, str | None]:
+    def _resolve(self) -> tuple[_Library | None, str | None]:
         found = self._found
         if found is None:
             with self._lock:
                 if self._found is None:
-                    self._found = find_dtbtrs()
+                    self._found = _find_openblas()
                 found = self._found
         return found
 
     @property
+    def library(self) -> _Library | None:
+        """The library's routines, or None when there is none."""
+        return self._resolve()[0]
+
+    @property
     def reason(self) -> str | None:
-        """Why solves run through the f2py wrapper, or None when they call
-        LAPACK directly."""
+        """Why no library is driven, or None when one is."""
         return self._resolve()[1]
+
+    @contextmanager
+    def one_thread(self) -> Iterator[None]:
+        lib = self.library
+        if lib is None:
+            yield
+            return
+        with self._lock:
+            if self._holders == 0:
+                self._saved = lib.get()
+                lib.set(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    lib.set(self._saved)
 
     def solve(self, ab: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve A x = z for each row z of Z; the solutions as rows, and
@@ -598,82 +600,28 @@ class LowerBandSolve:
         A is p x p unit lower triangular with kd = ab.shape[0] - 1
         subdiagonals in LAPACK band storage ``ab`` (entry (i, j) of A, for
         0 <= i - j <= kd, is ab[i - j, j]; the diagonal row is not read).
-        When ``ab`` is an F-ordered and Z a C-ordered, writeable float64
-        array, LAPACK solves the F-ordered Z' in place with the lock
-        released and Z is returned. Any other arrays go through the f2py
-        wrapper, which copies what it cannot take as it is and holds the
-        lock; no pointer is passed for a strided view.
+        The F-ordered Z' is solved in place and Z returned when Z is a
+        C-ordered, writeable float64 array; any other Z (F-ordered,
+        strided, another dtype) is solved in such a copy, which is
+        returned, so a memory layout never changes which routine runs.
         """
-        fn = self._resolve()[0]
-        if (fn is None or Z.ndim != 2 or ab.ndim != 2 or Z.dtype != np.float64
-                or ab.dtype != np.float64 or ab.shape[1] != Z.shape[1]
-                or not (Z.flags.c_contiguous and Z.flags.writeable and Z.flags.aligned)
-                or not (ab.flags.f_contiguous and ab.flags.aligned)
-                or max(Z.size, ab.size) > _INT_MAX):
+        if Z.ndim != 2 or ab.ndim != 2 or ab.shape[1] != Z.shape[1]:
+            raise ValueError(f"band {ab.shape} does not fit right-hand sides {Z.shape}")
+        Z = np.require(Z, np.float64, "CAW")
+        ab = np.require(ab, np.float64, "FA")
+        lib = self.library
+        if lib is None:
             from scipy.linalg.lapack import dtbtrs
 
             X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
             return X.T, int(info)
         n, p = Z.shape
         rows = ab.shape[0]
-        info = ctypes.c_int(0)
-        fn(b"L", b"N", b"U", ctypes.byref(ctypes.c_int(p)), ctypes.byref(ctypes.c_int(rows - 1)),
-           ctypes.byref(ctypes.c_int(n)), ab.ctypes.data, ctypes.byref(ctypes.c_int(rows)),
-           Z.ctypes.data, ctypes.byref(ctypes.c_int(max(p, 1))), ctypes.byref(info), 1, 1, 1)
+        i64, info = ctypes.c_int64, ctypes.c_int64(0)
+        lib.dtbtrs(b"L", b"N", b"U", ctypes.byref(i64(p)), ctypes.byref(i64(rows - 1)),
+                   ctypes.byref(i64(n)), ab.ctypes.data, ctypes.byref(i64(rows)),
+                   Z.ctypes.data, ctypes.byref(i64(max(p, 1))), ctypes.byref(info), 1, 1, 1)
         return Z, info.value
 
 
-DTBTRS = LowerBandSolve()
-
-
-class BlasThreadLimit:
-    """Holds the OpenBLAS libraries at one thread while any holder is inside
-    :meth:`one_thread`.
-
-    The thread count is process-wide, so the process shares one instance,
-    :data:`BLAS_LIMIT`. The libraries are looked up on first use. Holders
-    are counted under a lock: the first one in saves each library's count
-    and sets it to 1, and the last one out restores it, also when an
-    exception escapes. With no library found it does nothing, and
-    :attr:`reason` says why.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._libs: list[OpenBlas] | None = None
-        self._reason: str | None = None
-        self._holders = 0
-        self._saved: list[int] = []
-
-    def _resolve(self) -> list[OpenBlas]:
-        if self._libs is None:
-            self._libs, self._reason = find_openblas()
-        return self._libs
-
-    @property
-    def reason(self) -> str | None:
-        """Why the limit is a no-op, or None when it holds a library."""
-        with self._lock:
-            self._resolve()
-            return self._reason
-
-    @contextmanager
-    def one_thread(self) -> Iterator[None]:
-        with self._lock:
-            libs = self._resolve()
-            if self._holders == 0:
-                self._saved = [lib.get() for lib in libs]
-                for lib in libs:
-                    lib.set(1)
-            self._holders += 1
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._holders -= 1
-                if self._holders == 0:
-                    for lib, count in zip(libs, self._saved):
-                        lib.set(count)
-
-
-BLAS_LIMIT = BlasThreadLimit()
+OPENBLAS = OpenBlas()

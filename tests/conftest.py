@@ -36,10 +36,11 @@ def gram_builds(monkeypatch):
 
 
 class FakeOpenBlas:
-    """Stands in for an OpenBLAS library: a thread count and a log of sets."""
+    """Stands in for numpy's OpenBLAS: a thread count and a log of sets,
+    and the real library's ``dtbtrs``, so that AR(1) roots still solve."""
 
-    def __init__(self, path, count):
-        self.path, self.count, self.sets = path, count, []
+    def __init__(self, path, count, dtbtrs):
+        self.path, self.count, self.sets, self.dtbtrs = path, count, [], dtbtrs
 
     def get(self):
         return self.count
@@ -51,23 +52,25 @@ class FakeOpenBlas:
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    """A fresh ``BlasThreadLimit`` over two fake libraries at 4 threads,
-    installed in every ellipkurt module that reads ``BLAS_LIMIT``.
+    """A fresh ``linalg.OpenBlas`` over a fake library at 4 threads,
+    installed in every ellipkurt module that reads ``OPENBLAS``.
 
-    ``libs`` are the fakes and ``lookups`` counts library lookups; setting
-    ``libs`` to an empty list before first use makes the lookup find none.
+    ``lib`` is the fake and ``lookups`` counts library lookups; setting
+    ``lib`` to None before first use makes the lookup find none.
     """
-    state = SimpleNamespace(libs=[FakeOpenBlas("numpy", 4), FakeOpenBlas("scipy", 4)],
-                            lookups=0)
+    real, reason = linalg._find_openblas()
+    if real is None:
+        pytest.skip(f"no bundled OpenBLAS: {reason}")
+    state = SimpleNamespace(lib=FakeOpenBlas("numpy", 4, real.dtbtrs), lookups=0)
 
     def find():
         state.lookups += 1
-        return state.libs, None if state.libs else "no library (fake)"
+        return state.lib, None if state.lib else "no library (fake)"
 
-    monkeypatch.setattr(linalg, "find_openblas", find)
-    real = linalg.BLAS_LIMIT
-    state.limit = linalg.BlasThreadLimit()
+    monkeypatch.setattr(linalg, "_find_openblas", find)
+    real_blas = linalg.OPENBLAS
+    state.blas = linalg.OpenBlas()
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ellipkurt" and getattr(module, "BLAS_LIMIT", None) is real:
-            monkeypatch.setattr(module, "BLAS_LIMIT", state.limit)
+        if name.split(".")[0] == "ellipkurt" and getattr(module, "OPENBLAS", None) is real_blas:
+            monkeypatch.setattr(module, "OPENBLAS", state.blas)
     return state

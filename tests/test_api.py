@@ -25,9 +25,10 @@ def test_all_declares_the_public_namespace():
 
 # Runs in a fresh interpreter: the package, its CLI, one estimate with every
 # interval and one pooled AR(1) simulate with interval cells, then reports
-# what was loaded and which LAPACK root ran.
+# what was loaded, which OpenBLAS files are mapped (None without
+# /proc/self/maps) and which library the package drove.
 NO_SCIPY_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import numpy as np
 import ellipkurt, ellipkurt.cli
 from ellipkurt import linalg
@@ -44,8 +45,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
-    "dtbtrs_reason": linalg.DTBTRS.reason,
-    "openblas": [lib.path for lib in linalg.find_openblas()[0]],
+    "reason": linalg.OPENBLAS.reason,
+    "held": os.path.realpath(linalg.OPENBLAS.library.path),
+    "mapped": sorted({line.split()[-1] for line in open("/proc/self/maps")
+                      if "openblas" in line}) if os.path.exists("/proc/self/maps") else None,
 }))
 """
 
@@ -53,7 +56,8 @@ print(json.dumps({
 def test_import_estimate_and_ar1_simulate_load_no_scipy(tmp_path):
     # scipy is imported only where a dense covariance is whitened or the
     # f2py fallback runs; start-up, estimate and the AR(1) cells need none
-    # of it. The ctypes root still finds scipy's OpenBLAS, by path.
+    # of it, nor scipy's OpenBLAS: the root and the thread hold both drive
+    # numpy's.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
@@ -61,5 +65,8 @@ def test_import_estimate_and_ar1_simulate_load_no_scipy(tmp_path):
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0]
     assert report["scipy"] == []
-    assert report["dtbtrs_reason"] is None
-    assert any(Path(path).parent.name == "scipy.libs" for path in report["openblas"])
+    assert report["reason"] is None
+    assert Path(report["held"]).parent.name == "numpy.libs"
+    if report["mapped"] is not None:
+        assert report["held"] in report["mapped"]
+        assert not [path for path in report["mapped"] if Path(path).parent.name == "scipy.libs"]

@@ -360,23 +360,25 @@ def test_simulate_bad_workers_exit_2(tmp_path, capsys, workers, dry_run):
 
 
 def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
-    # estimate and a serial simulate never look up or set the BLAS threads;
-    # the workers line says what a pooled run did with them.
+    # estimate never looks up the library and a serial simulate never sets
+    # its threads (it looks it up for the AR(1) root); the workers line says
+    # what a pooled run did with them.
     path = tmp_path / "data.csv"
     write_csv(path, np.random.default_rng(3).normal(size=(20, 3)))
     assert main(["estimate", "--input", str(path), "--ci", "all"]) == 0
+    assert fake_blas.lookups == 0
     capsys.readouterr()
     args = ["simulate", "--family", "normal", "--p", "8", "--n", "16", "--reps", "2",
             "--out-dir", str(tmp_path / "res")]
     assert main(args + ["--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "workers: 1 (serial; OpenBLAS threads left as set)"
-    assert fake_blas.lookups == 0
+    assert fake_blas.lookups == 1 and fake_blas.lib.sets == []
     assert main(args + ["--workers", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seed: ")
     assert lines[1] == "workers: 2 (OpenBLAS held to 1 thread while replications run)"
-    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+    assert fake_blas.lib.sets == [1, 4]
 
 
 @pytest.mark.filterwarnings("ignore:aggregate over a single replication")
@@ -396,11 +398,11 @@ def test_simulate_preset_runs_one_pool_and_one_blas_hold(tmp_path, capsys, fake_
             "--out-dir", str(tmp_path / "res")]
     assert main(args) == 0
     assert pools == [2]
-    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+    assert fake_blas.lib.sets == [1, 4]
 
 
 def test_simulate_reports_why_blas_is_not_limited(tmp_path, capsys, fake_blas):
-    fake_blas.libs = []
+    fake_blas.lib = None
     args = ["simulate", "--family", "normal", "--p", "8", "--n", "16", "--reps", "2",
             "--workers", "2", "--out-dir", str(tmp_path / "res")]
     assert main(args) == 0

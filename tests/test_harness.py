@@ -397,43 +397,43 @@ def test_workers_below_one_rejected(workers):
 
 
 def test_pooled_replications_run_with_one_blas_thread():
-    # Inside a pooled replication numpy's and scipy's OpenBLAS read one
-    # thread; after the pool, also one whose replication raised, their own.
-    libs, reason = linalg.find_openblas()
-    if not libs:
-        pytest.skip(f"no bundled OpenBLAS: {reason}")
-    saved = [lib.get() for lib in libs]
+    # Inside a pooled replication numpy's OpenBLAS reads one thread; after
+    # the pool, also one whose replication raised, its own.
+    lib = linalg.OPENBLAS.library
+    if lib is None:
+        pytest.skip(f"no bundled OpenBLAS: {linalg.OPENBLAS.reason}")
+    saved = lib.get()
 
-    def counts(rep):
+    def count(rep):
         if rep == 3 and raising:
             raise RuntimeError("replication failed")
-        return [lib.get() for lib in libs]
+        return lib.get()
 
     try:
-        for lib in libs:
-            lib.set(2)
+        lib.set(2)
         raising = False
         for workers, inside in ((2, 1), (1, 2)):
             with _replication_map(workers, 12) as run_map:
                 for _ in range(2):  # two cells
-                    assert list(run_map(counts, range(6))) == [[inside] * len(libs)] * 6
-            assert [lib.get() for lib in libs] == [2] * len(libs)
+                    assert list(run_map(count, range(6))) == [inside] * 6
+            assert lib.get() == 2
         raising = True
         with pytest.raises(RuntimeError, match="replication failed"):
             with _replication_map(2, 6) as run_map:
-                list(run_map(counts, range(6)))
-        assert [lib.get() for lib in libs] == [2] * len(libs)
+                list(run_map(count, range(6)))
+        assert lib.get() == 2
     finally:
-        for lib, count in zip(libs, saved):
-            lib.set(count)
+        lib.set(saved)
 
 
 def test_serial_runs_never_touch_blas_threads(fake_blas):
+    # A serial run looks the library up for the AR(1) root but never sets
+    # its thread count.
     cfg = small_config(reps=2)
     run_experiments([cfg], workers=1)
     run_experiments([small_config(reps=2, methods=(), ci_methods=("case1",))], workers=1)
-    assert fake_blas.lookups == 0
-    assert [lib.sets for lib in fake_blas.libs] == [[], []]
+    assert fake_blas.lookups == 1
+    assert fake_blas.lib.sets == []
     # A pooled run holds the limit once, across all of its cells.
     run_experiments([cfg], workers=2)
-    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+    assert fake_blas.lib.sets == [1, 4]

@@ -27,7 +27,7 @@ from ellipkurt import (
 from ellipkurt import linalg
 from ellipkurt.linalg import (
     AR1,
-    BLAS_LIMIT,
+    OPENBLAS,
     Dense,
     as_covariance,
     as_data_matrix,
@@ -443,21 +443,24 @@ def check_scaled_root_against_f2py(rho, per_row):
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-scale", "row-scales"])
 @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.99, -0.99])
 def test_ar1_scaled_root_is_f2py_dtbtrs_bit_for_bit(rho, per_row):
-    assert linalg.DTBTRS.reason is None  # the direct LAPACK call is what runs
+    assert linalg.OPENBLAS.reason is None  # the direct LAPACK call is what runs
     check_scaled_root_against_f2py(rho, per_row)
 
 
 def test_ar1_root_without_the_lapack_symbol_runs_f2py(monkeypatch):
-    monkeypatch.setattr(linalg, "_DTBTRS_SYMBOL", "no_such_dtbtrs_")
-    monkeypatch.setattr(linalg, "DTBTRS", linalg.LowerBandSolve())
+    # numpy's library without the routine is not driven at all: the root
+    # runs the f2py wrapper and the reason names the missing symbol.
+    monkeypatch.setattr(linalg, "_DTBTRS_SYMBOL", "no_such_dtbtrs_64_")
+    monkeypatch.setattr(linalg, "OPENBLAS", linalg.OpenBlas())
     for rho in (0.5, -0.99):
         check_scaled_root_against_f2py(rho, per_row=True)
-    assert "no no_such_dtbtrs_" in linalg.DTBTRS.reason
+    assert linalg.OPENBLAS.library is None
+    assert "no no_such_dtbtrs_64_" in linalg.OPENBLAS.reason
 
 
 def test_ar1_root_of_a_strided_view_is_solved_in_a_copy():
-    # No pointer is passed for a strided view: the f2py wrapper copies it,
-    # and the columns between its columns are never written.
+    # No pointer is passed for a strided view: it is solved in a copy, and
+    # the columns between its columns are never written.
     rng = np.random.default_rng(16)
     Z = rng.standard_normal((7, 30))
     before = Z.copy()
@@ -469,13 +472,38 @@ def test_ar1_root_of_a_strided_view_is_solved_in_a_copy():
     assert_same_bits(AR1(30, 0.8).scaled_root(F, 1.3), f2py_scaled_root(before, 0.8, 1.3))
 
 
+def test_ar1_root_of_f_ordered_and_strided_z_runs_the_direct_call(monkeypatch):
+    # A layout never picks another routine: an F-ordered and a strided Z
+    # are solved in a C-ordered copy by the direct call, never by f2py.
+    if linalg.OPENBLAS.reason is not None:
+        pytest.skip(linalg.OPENBLAS.reason)
+    rng = np.random.default_rng(18)
+    Z = rng.standard_normal((9, 40))
+    for rho in (0.5, -0.99):
+        strided, fortran = Z.copy()[:, ::2], np.asfortranarray(Z)
+        expected = (f2py_scaled_root(Z[:, ::2], rho, 1.3), f2py_scaled_root(Z, rho, 1.3))
+
+        def no_f2py(*args, **kwargs):
+            raise AssertionError("the f2py wrapper ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("scipy.linalg.lapack.dtbtrs", no_f2py)
+            got = (AR1(20, rho).scaled_root(strided, 1.3), AR1(40, rho).scaled_root(fortran, 1.3))
+        for X, want in zip(got, expected):
+            assert X.flags.c_contiguous
+            assert_same_bits(X, want)
+    # No pointer is passed for a band that does not fit Z.
+    with pytest.raises(ValueError, match="does not fit"):
+        linalg.OPENBLAS.solve(np.ones((2, 5), order="F"), Z)
+
+
 def test_ar1_root_releases_the_interpreter_lock():
     # One thread records timestamps while this one solves. A recorder
     # timestamp needs the lock, and no switch is forced within the switch
     # interval, so a timestamp inside the solve's window means the solve
     # released the lock. The routine is looked up before the window opens.
-    if linalg.DTBTRS.reason is not None:
-        pytest.skip(linalg.DTBTRS.reason)
+    if linalg.OPENBLAS.reason is not None:
+        pytest.skip(linalg.OPENBLAS.reason)
     n, p, rho = 20, 200_000, 0.5
     Z = np.random.default_rng(17).standard_normal((n, p))
     ab = np.empty((2, p), order="F")
@@ -496,7 +524,7 @@ def test_ar1_root_releases_the_interpreter_lock():
         recorder.start()
         assert started.wait(timeout=10)
         t0 = time.perf_counter()
-        X, info = linalg.DTBTRS.solve(ab, Z)
+        X, info = linalg.OPENBLAS.solve(ab, Z)
         t1 = time.perf_counter()
         done.set()
         recorder.join(timeout=10)
@@ -560,7 +588,7 @@ def test_centered_gram_is_exactly_symmetric(n, p, one_thread):
     # on both Gram sides and under either OpenBLAS thread count.
     X = np.random.default_rng(n + p).normal(size=(n, p)) + 3.0
     Xc = X - X.mean(axis=0)
-    with BLAS_LIMIT.one_thread() if one_thread else contextlib.nullcontext():
+    with OPENBLAS.one_thread() if one_thread else contextlib.nullcontext():
         M = centered_gram(X).M
         for G in (Xc.T @ Xc, Xc @ Xc.T):
             assert np.array_equal(G, G.T)
@@ -568,51 +596,49 @@ def test_centered_gram_is_exactly_symmetric(n, p, one_thread):
 
 
 def test_blas_limit_holds_one_thread_and_restores(fake_blas):
-    limit = fake_blas.limit
+    blas, lib = fake_blas.blas, fake_blas.lib
     assert fake_blas.lookups == 0  # lazy: nothing is looked up until first use
-    with limit.one_thread():
-        assert [lib.count for lib in fake_blas.libs] == [1, 1]
-    assert [lib.count for lib in fake_blas.libs] == [4, 4]
+    with blas.one_thread():
+        assert lib.count == 1
+    assert lib.count == 4
     with pytest.raises(RuntimeError, match="boom"):
-        with limit.one_thread():
-            assert [lib.count for lib in fake_blas.libs] == [1, 1]
+        with blas.one_thread():
+            assert lib.count == 1
             raise RuntimeError("boom")
-    assert [lib.count for lib in fake_blas.libs] == [4, 4]
-    assert [lib.sets for lib in fake_blas.libs] == [[1, 4, 1, 4]] * 2
-    assert fake_blas.lookups == 1 and limit.reason is None
+    assert lib.count == 4
+    assert lib.sets == [1, 4, 1, 4]
+    assert fake_blas.lookups == 1 and blas.reason is None and blas.library is lib
 
 
 def test_blas_limit_overlapping_holders_in_two_threads(fake_blas):
-    # The first holder in saves the counts and the last one out restores
-    # them, exactly once, whichever thread that is.
-    limit = fake_blas.limit
+    # The first holder in saves the count and the last one out restores
+    # it, exactly once, whichever thread that is.
+    blas, lib = fake_blas.blas, fake_blas.lib
     entered, release = threading.Event(), threading.Event()
 
     def hold():
-        with limit.one_thread():
+        with blas.one_thread():
             entered.set()
             assert release.wait(timeout=10)
 
     other = threading.Thread(target=hold)
     other.start()
     assert entered.wait(timeout=10)
-    with limit.one_thread():
+    with blas.one_thread():
         release.set()
         other.join(timeout=10)
         assert not other.is_alive()
-        assert [lib.count for lib in fake_blas.libs] == [1, 1]
-    assert [lib.count for lib in fake_blas.libs] == [4, 4]
-    assert [lib.sets for lib in fake_blas.libs] == [[1, 4]] * 2
+        assert lib.count == 1
+    assert lib.count == 4
+    assert lib.sets == [1, 4]
 
 
 def test_blas_limit_without_library_is_a_noop_with_reason(monkeypatch):
-    real = linalg.find_openblas()[0]
-    before = [lib.get() for lib in real]
+    real = linalg.OPENBLAS.library
+    before = real and real.get()
     monkeypatch.setattr(linalg.glob, "glob", lambda pattern: [])
-    libs, reason = linalg.find_openblas()
-    assert libs == [] and "no OpenBLAS library" in reason
-    limit = linalg.BlasThreadLimit()
-    with limit.one_thread():
-        assert [lib.get() for lib in real] == before
-    assert limit.reason == reason
+    blas = linalg.OpenBlas()
+    with blas.one_thread():
+        assert (real and real.get()) == before
+    assert blas.library is None and "no OpenBLAS library" in blas.reason
 

@@ -18,9 +18,15 @@ Worker threads
 A ``simulate`` call runs the replications of all of its experiments on one
 pool of ``workers`` threads (:func:`run_experiments`); ``simulate``
 defaults to the cores this process may use (:func:`usable_cores`). The
-pool takes its tasks in replication-major order: replication 0 of every
-cell (config, p), then replication 1, and so on. Small-p replications are
-mostly interpreter work, which holds the interpreter lock, while large-p
+pool is that many plain threads, no more than there are replications, and
+no future or queue per replication (:func:`_thread_map`): each thread
+takes the next replication from one shared counter and stores its result
+in that replication's slot, and the caller waits for the threads to end.
+The first replication that raises stops the others from taking more, and
+the caller re-raises its exception. The pool takes its tasks in
+replication-major order: replication 0 of every cell (config, p), then
+replication 1, and so on. Small-p replications are mostly
+interpreter work, which holds the interpreter lock, while large-p
 ones spend their time in the generator, in numpy's array loops and Gram
 products, and in the AR(1) root's LAPACK solve, all of which release it
 (the root calls numpy's OpenBLAS through ``ctypes``,
@@ -40,10 +46,10 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import warnings
 import zlib
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -212,20 +218,61 @@ def check_workers(workers: int) -> None:
 def _replication_map(workers: int, tasks: int) -> Iterator[Callable]:
     """A ``map`` that runs ``tasks`` replications, results in task order.
 
-    With ``min(workers, tasks) > 1`` it is the map of one pool of that many
-    threads, run with OpenBLAS held at one thread; the pool's exit waits for
-    every replication before the old thread count is restored. Otherwise
-    the replications run serially in the calling thread. One pool serves a
-    whole :func:`run_experiments` call: fresh threads per cell took fresh
-    malloc arenas and made peak RSS vary by up to 4 MB from run to run.
+    With ``min(workers, tasks) > 1`` it is :func:`_thread_map` on that many
+    threads, run with OpenBLAS held at one thread; each call joins its
+    threads before it returns, so the hold outlasts every replication.
+    Otherwise the replications run serially in the calling thread. One map
+    call serves a whole :func:`run_experiments` call: fresh threads per
+    cell took fresh malloc arenas and made peak RSS vary by up to 4 MB from
+    run to run.
     """
     check_workers(workers)
     threads = min(workers, tasks)
     if threads <= 1:
         yield map
         return
-    with OPENBLAS.one_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool.map
+    with OPENBLAS.one_thread():
+        yield partial(_thread_map, threads)
+
+
+def _thread_map(threads: int, fn: Callable, items) -> list:
+    """``list(map(fn, items))``, run by ``threads`` worker threads.
+
+    Each worker takes the next index from one shared ``range`` iterator
+    (``next`` on it is atomic under the interpreter lock) and stores its
+    result at that index, so the results are in item order. The first
+    exception from any worker makes every worker stop taking items, and
+    the caller re-raises it once all of them have stopped. An interrupt
+    of the wait stops them too, and is re-raised at once.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    indices = iter(range(len(items)))
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        for i in indices:
+            if errors:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors.append(exc)
+                return
+
+    pool = [threading.Thread(target=work, name=f"ellipkurt-replication-{k}")
+            for k in range(threads)]
+    for thread in pool:
+        thread.start()
+    try:
+        for thread in pool:
+            thread.join()
+    except BaseException as exc:
+        errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:

@@ -45,7 +45,7 @@ import os
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -113,9 +113,16 @@ class AR1:
 
     p: int
     rho: float
+    # LAPACK band storage of diag(1, s, ..., s) L^{-1}, built once; read only.
+    _band: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_ar1(self.p, self.rho)
+        band = np.empty((2, self.p), order="F")
+        band[0] = 1.0
+        band[1] = -float(self.rho)
+        band.flags.writeable = False
+        object.__setattr__(self, "_band", band)
 
     def apply_root(self, Z) -> np.ndarray:
         """Rows z of Z mapped to L z, in a new array."""
@@ -126,7 +133,9 @@ class AR1:
 
         ``Z`` is a C-ordered float64 (n, p) array and ``scale`` a length-n
         array or a scalar. One pass scales the rows into the right-hand
-        side (scale_i z_i0, c_i z_i1, ..., c_i z_i,p-1) with c_i = scale_i s.
+        side (scale_i z_i0, c_i z_i1, ..., c_i z_i,p-1) with c_i = scale_i s:
+        it scales whole contiguous rows by c_i and then writes back column 0,
+        saved beforehand as scale_i z_i0.
         Forward substitution (LAPACK ``dtbtrs``) then solves B x = rhs in
         place, where B = diag(1, s, ..., s) L^{-1} is unit lower bidiagonal
         with subdiagonal -rho: x_j = rhs_j + rho x_{j-1}, one contiguous
@@ -137,12 +146,10 @@ class AR1:
         """
         rho = float(self.rho)
         scale = np.asarray(scale, dtype=float)[..., None]
-        Z[:, 1:] *= scale * math.sqrt(1.0 - rho * rho)
-        Z[:, :1] *= scale
-        ab = np.empty((2, self.p), order="F")
-        ab[0] = 1.0
-        ab[1] = -rho
-        X, info = OPENBLAS.solve(ab, Z)
+        head = Z[:, :1] * scale
+        Z *= scale * math.sqrt(1.0 - rho * rho)
+        Z[:, :1] = head
+        X, info = OPENBLAS.solve(self._band, Z)
         if info != 0:
             raise InvalidParameterError(f"AR(1) root: LAPACK dtbtrs returned info={info}")
         return X
@@ -401,17 +408,23 @@ def as_float_matrix(X) -> np.ndarray:
     """X as a float64 matrix, the same array when it is one.
 
     Raises :class:`InvalidParameterError` for complex, str and bytes
-    arrays, which a float conversion would cast with a warning or parse,
-    for input that does not convert to floats (a ragged or non-numeric
-    list, or a Python integer beyond the double range), and unless X is
-    2-d with at least one row and one column. The values are not read.
+    arrays, and object arrays holding str or bytes, which a float
+    conversion would cast with a warning or parse, for input that does not
+    convert to floats (a ragged or non-numeric list, or a Python integer
+    beyond the double range), and unless X is 2-d with at least one row and
+    one column. The values of a numeric array are not read.
     """
+    text = None  # the type of the first str or bytes in an object array
     try:
         X = np.asarray(X)
-        if X.dtype.kind not in "cSU":
+        if X.dtype.kind == "O":
+            text = next((type(v).__name__ for v in X.flat if isinstance(v, (str, bytes))), None)
+        if text is None and X.dtype.kind not in "cSU":
             X = X.astype(float, copy=False)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidParameterError(f"data must be a numeric matrix: {exc}") from None
+    if text is not None:
+        raise InvalidParameterError(f"data must be real numbers, got {text} in an object array")
     if X.dtype.kind in "cSU":
         raise InvalidParameterError(f"data must be real numbers, got dtype {X.dtype}")
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
@@ -476,7 +489,8 @@ def centered_gram(X, overwrite_x: bool = False) -> CenteredGram:
         M = Xc.T @ Xc if p < n else Xc @ Xc.T
         cg = CenteredGram(n=n, p=p, x_max=x_max, g=g, M=M,
                           T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
-    if np.any(Xc):
+    # Only a t below the normal range can raise, so only then is Xc scanned.
+    if cg.t < TINY and np.any(Xc):
         require_normal(cg.t)
     return cg
 

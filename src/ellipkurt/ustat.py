@@ -150,8 +150,9 @@ def ustats_fast(X) -> UStats:
 
     ``X`` is the data matrix or its :class:`ellipkurt.linalg.CenteredGram`
     summary; both give the same floats. Agrees with
-    :func:`ustats_bruteforce` to floating-point accuracy; the module
-    docstring derives the identities. Raises
+    :func:`ustats_bruteforce` to floating-point accuracy, and like it never
+    returns a negative statistic; the module docstring derives the
+    identities. Raises
     :class:`InvalidParameterError` when the data's scale overflows.
     """
     cg = centered_gram(X)
@@ -167,6 +168,9 @@ def ustats_fast(X) -> UStats:
     t1 = ((n - 2) * (n - 3) * S2 - pair_products) / (2.0 * N)
     t3 = (2.0 * n * n * (W - t) - 6.0 * n * W + S2) / (2.0 * N)
     require_finite(t1, t2, t3)
+    # Each is a mean of non-negative kernels; a negative value is
+    # cancellation noise of the others' size, so it is clamped to 0.0.
+    t1, t2, t3 = (v if v > 0.0 else 0.0 for v in (t1, t2, t3))
     return UStats(t1=t1, t2=t2, t3=t3, n=n, p=cg.p)
 
 

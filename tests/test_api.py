@@ -25,8 +25,9 @@ def test_all_declares_the_public_namespace():
 
 # Runs in a fresh interpreter: the package, its CLI, one estimate with every
 # interval and one pooled AR(1) simulate with interval cells, then reports
-# what was loaded, which OpenBLAS files are mapped (None without
-# /proc/self/maps) and which library the package drove.
+# what was loaded (scipy, and the stdlib modules of a future-based thread
+# pool), which OpenBLAS files are mapped (None without /proc/self/maps) and
+# which library the package drove.
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, os, sys
 import numpy as np
@@ -45,6 +46,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "pool": sorted(m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules),
     "reason": linalg.OPENBLAS.reason,
     "held": os.path.realpath(linalg.OPENBLAS.library.path),
     "mapped": sorted({line.split()[-1] for line in open("/proc/self/maps")
@@ -65,6 +67,7 @@ def test_import_estimate_and_ar1_simulate_load_no_scipy(tmp_path):
     report = json.loads(run.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0]
     assert report["scipy"] == []
+    assert report["pool"] == []
     assert report["reason"] is None
     assert Path(report["held"]).parent.name == "numpy.libs"
     if report["mapped"] is not None:

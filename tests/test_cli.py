@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,20 +386,29 @@ def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
 @pytest.mark.filterwarnings("ignore:aggregate over a single replication")
 def test_simulate_preset_runs_one_pool_and_one_blas_hold(tmp_path, capsys, fake_blas,
                                                         monkeypatch):
-    # Every config and cell of a preset shares one pool, started with no more
-    # threads than asked for, and OpenBLAS is held at one thread once.
-    pools = []
+    # Every config and cell of a preset shares one pool: two worker threads
+    # are started, as asked for, every replication samples in one of them,
+    # and OpenBLAS is held at one thread once. The harness samples through
+    # its module global, so a wrapper there sees each replication's thread.
+    started, sampled_in = [], set()
 
-    class CountingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", CountingPool)
+    real_sample_data = harness.sample_data
+
+    def sampling(*args):
+        sampled_in.add(threading.current_thread())
+        return real_sample_data(*args)
+
+    monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=CountingThread))
+    monkeypatch.setattr(harness, "sample_data", sampling)
     args = ["simulate", "--preset", "table2-desk", "--reps", "2", "--workers", "2",
             "--out-dir", str(tmp_path / "res")]
     assert main(args) == 0
-    assert pools == [2]
+    assert len(started) == 2 and sampled_in <= set(started)
     assert fake_blas.lib.sets == [1, 4]
 
 

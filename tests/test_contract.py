@@ -72,6 +72,20 @@ ODD_INPUTS = [
     np.empty((5, 0)),
 ]
 
+# Numbers written as text, in text arrays and in object arrays: the dtype
+# gate rejects them whatever container they arrive in.
+TEXT = st.one_of(
+    scaled_matrices().map(lambda X: X.astype(str)),
+    scaled_matrices().map(lambda X: X.astype(bytes)),
+    scaled_matrices().map(lambda X: X.astype(str).astype(object)),
+    scaled_matrices().map(lambda X: X.astype(bytes).astype(object)),
+    st.sampled_from([
+        np.array([["1.5", "2"], ["3", "4"], ["5", "6"], ["7", "9"]], dtype=object),
+        np.array([[b"1.5", b"2"], [b"3", b"4"], [b"5", b"6"], [b"7", b"9"]], dtype=object),
+        np.array([[1.5, 2.0], [3.0, "4"], [5.0, 6.0], [7.0, 9.0]], dtype=object),
+    ]),
+)
+
 # Real matrices, and matrices no float conversion takes as they are.
 NUMERIC = st.one_of(
     scaled_matrices(),
@@ -83,8 +97,7 @@ ODD = st.one_of(
     scaled_matrices().map(lambda X: X.astype(object)),
     scaled_matrices().map(lambda X: X + 1j),
     scaled_matrices().map(lambda X: X.astype(complex)),  # zero imaginary parts
-    scaled_matrices().map(lambda X: X.astype(str)),
-    scaled_matrices().map(lambda X: X.astype(bytes)),
+    TEXT,
     huge_int_matrices(),
     st.sampled_from(ODD_INPUTS),
 )
@@ -151,3 +164,10 @@ def test_entry_points_on_real_matrices_return_finite_floats_or_raise_their_own_e
 @given(ODD)
 def test_entry_points_on_odd_input_return_finite_floats_or_raise_their_own_error(X):
     check_contract(X)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TEXT)
+def test_entry_points_reject_numbers_written_as_text(X):
+    for name in ENTRY_POINTS:
+        assert _call(name, X) is None, name

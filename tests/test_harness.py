@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,7 @@ from ellipkurt.harness import (
     _estimation_rep,
     _family_code,
     _replication_map,
+    _thread_map,
 )
 from ellipkurt.inference import plugin_moments_case2
 from ellipkurt.models import sample_data
@@ -398,15 +401,29 @@ def test_workers_below_one_rejected(workers):
 
 def test_pooled_replications_run_with_one_blas_thread():
     # Inside a pooled replication numpy's OpenBLAS reads one thread; after
-    # the pool, also one whose replication raised, its own.
+    # the pool, also one whose replication raised, its own. A replication's
+    # exception reaches the caller, and no replication starts after it: task
+    # 4 runs in the other worker until the failing worker has ended, and
+    # then that worker takes no further task.
     lib = linalg.OPENBLAS.library
     if lib is None:
         pytest.skip(f"no bundled OpenBLAS: {linalg.OPENBLAS.reason}")
     saved = lib.get()
+    started, failing = [], []
+    three, four = threading.Event(), threading.Event()
 
     def count(rep):
-        if rep == 3 and raising:
-            raise RuntimeError("replication failed")
+        if raising:
+            started.append(rep)
+            if rep == 3:
+                failing.append(threading.current_thread())
+                three.set()
+                four.wait(10)
+                raise RuntimeError("replication failed")
+            if rep == 4:
+                four.set()
+                three.wait(10)
+                failing[0].join(10)
         return lib.get()
 
     try:
@@ -419,11 +436,33 @@ def test_pooled_replications_run_with_one_blas_thread():
             assert lib.get() == 2
         raising = True
         with pytest.raises(RuntimeError, match="replication failed"):
-            with _replication_map(2, 6) as run_map:
-                list(run_map(count, range(6)))
+            with _replication_map(2, 12) as run_map:
+                list(run_map(count, range(12)))
+        assert sorted(started) == [0, 1, 2, 3, 4]
+        assert not failing[0].is_alive()
         assert lib.get() == 2
     finally:
         lib.set(saved)
+
+
+def test_thread_map_runs_each_task_once_in_order_under_contention():
+    # More workers than cores and a thread switch every microsecond: every
+    # task runs exactly once and its result lands in its own slot, so a
+    # lost or doubled index, or a misplaced result, breaks the equalities.
+    calls = [0] * 3000
+
+    def task(i):
+        calls[i] += 1
+        return i * i
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        assert _thread_map(8, task, range(3000)) == [i * i for i in range(3000)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [1] * 3000
+    assert [t for t in threading.enumerate() if t.name.startswith("ellipkurt-")] == []
 
 
 def test_serial_runs_never_touch_blas_threads(fake_blas):

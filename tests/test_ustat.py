@@ -58,6 +58,16 @@ def test_identical_rows_give_zero():
         assert (u.t1, u.t2, u.t3) == (0.0, 0.0, 0.0)
 
 
+def test_statistics_are_never_negative():
+    # One outlier among three equal rows: t2 and t3 are exactly 0, and the
+    # fast path's cancellation noise at t1's scale (-0.0417 for t2) is
+    # clamped to 0.0, where the brute force gives 0.0 too.
+    X = np.array([[5625.0], [0.0], [0.0], [0.0]])
+    fast, brute = ustats_fast(X), ustats_bruteforce(X)
+    assert (fast.t2, fast.t3) == (brute.t2, brute.t3) == (0.0, 0.0)
+    assert fast.t1 == pytest.approx(brute.t1, rel=1e-12)
+
+
 def test_bruteforce_shift_invariance():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(5, 3))

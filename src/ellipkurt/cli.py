@@ -243,9 +243,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(f"seed: {configs[0].seed}")
-    if args.workers == 1:
-        blas = "serial; OpenBLAS threads left as set"
-    elif OPENBLAS.reason:
+    if OPENBLAS.reason:
         blas = f"OpenBLAS threads not limited: {OPENBLAS.reason}"
     else:
         blas = "OpenBLAS held to 1 thread while replications run"
@@ -317,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", default=".", help="directory for output CSVs")
     p_sim.add_argument("--workers", type=int, default=usable_cores(),
                        help="replication worker threads; OpenBLAS is held at 1 thread "
-                            "while more than one runs (default: the usable cores, "
-                            "%(default)s here)")
+                            "while they run (default: the usable cores, %(default)s here)")
     p_sim.add_argument("--dry-run", action="store_true", help="print the grid, write nothing")
     p_sim.set_defaults(func=cmd_simulate)
 

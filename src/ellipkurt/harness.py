@@ -37,7 +37,9 @@ per cell or per experiment would run the small-p cells alone. While the
 pool runs, numpy's OpenBLAS, the one BLAS that a replication of an AR(1)
 cell calls, is held at one thread (``OPENBLAS.one_thread``): at these
 matrix sizes its own threads buy nothing and would compete with the
-pool for the same cores. A serial run leaves OpenBLAS as it is.
+pool for the same cores. One worker is one such thread too: its own
+malloc arena keeps the pages that the main thread's would give back and
+fault in again for every replication.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ import os
 import threading
 import warnings
 import zlib
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
@@ -60,7 +60,7 @@ import numpy as np
 from .baselines import oracle_theta, wl_theta
 from .errors import EllipkurtError, InvalidParameterError, SchemaError
 from .inference import CiMethod, confidence_interval, plugin_moments_case2, z_quantile
-from .linalg import AR1, OPENBLAS, _check_ar1, centered_gram
+from .linalg import AR1, OPENBLAS, _check_ar1, _is_int, centered_gram
 from .models import FAMILY_LAWS, FAMILY_NAMES, EllipticalSpec, XiLaw, make_law, sample_data
 from .ustat import theta_hat, ustats_fast
 
@@ -74,9 +74,17 @@ FamilySpec = Union[str, Callable[[int], XiLaw]]
 
 def _require_int(name: str, value) -> int:
     """``value`` as an int; a bool or a non-integer raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_tuple(name: str, value) -> tuple:
+    """``value`` as a tuple; a value that is not iterable raises."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {value!r}") from None
 
 
 def check_seed(seed) -> int:
@@ -109,16 +117,17 @@ class ExperimentConfig:
     rho: float = 0.5
 
     def __post_init__(self):
-        if not (self.family in FAMILY_NAMES or callable(self.family)):
+        if not (isinstance(self.family, str) and self.family in FAMILY_NAMES
+                or callable(self.family)):
             raise InvalidParameterError(
                 f"family must be one of {FAMILY_NAMES} or a callable, got {self.family!r}"
             )
         for name in ("n", "reps"):
             _require_int(name, getattr(self, name))
         check_seed(self.seed)
-        self.p_list = tuple(_require_int("p", p) for p in self.p_list)
-        self.methods = tuple(self.methods)
-        self.ci_methods = tuple(self.ci_methods)
+        self.p_list = tuple(_require_int("p", p) for p in _as_tuple("p_list", self.p_list))
+        self.methods = _as_tuple("methods", self.methods)
+        self.ci_methods = _as_tuple("ci_methods", self.ci_methods)
         if not self.p_list:
             raise InvalidParameterError("p_list must be nonempty")
         if self.reps < 1:
@@ -177,8 +186,12 @@ def _family_code(cfg: ExperimentConfig) -> int:
 
 def replication_rng(seed: int, family_code: int, p: int, rep: int) -> np.random.Generator:
     """Independent generator for one replication, derived order-free from
-    (master seed, family code, dimension, replication index)."""
-    ss = np.random.SeedSequence(entropy=[int(seed), int(family_code), int(p), int(rep)])
+    (master seed, family code, dimension, replication index), each a
+    nonnegative integer."""
+    try:
+        ss = np.random.SeedSequence(entropy=[int(seed), int(family_code), int(p), int(rep)])
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"replication seed parts: {exc}") from exc
     return np.random.default_rng(ss)
 
 
@@ -209,30 +222,10 @@ def usable_cores() -> int:
 
 
 def check_workers(workers: int) -> None:
-    """Raise :class:`InvalidParameterError` unless ``workers >= 1``."""
-    if workers < 1:
+    """Raise :class:`InvalidParameterError` unless ``workers`` is an
+    integer >= 1."""
+    if _require_int("workers", workers) < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-
-
-@contextmanager
-def _replication_map(workers: int, tasks: int) -> Iterator[Callable]:
-    """A ``map`` that runs ``tasks`` replications, results in task order.
-
-    With ``min(workers, tasks) > 1`` it is :func:`_thread_map` on that many
-    threads, run with OpenBLAS held at one thread; each call joins its
-    threads before it returns, so the hold outlasts every replication.
-    Otherwise the replications run serially in the calling thread. One map
-    call serves a whole :func:`run_experiments` call: fresh threads per
-    cell took fresh malloc arenas and made peak RSS vary by up to 4 MB from
-    run to run.
-    """
-    check_workers(workers)
-    threads = min(workers, tasks)
-    if threads <= 1:
-        yield map
-        return
-    with OPENBLAS.one_thread():
-        yield partial(_thread_map, threads)
 
 
 def _thread_map(threads: int, fn: Callable, items) -> list:
@@ -294,12 +287,16 @@ class _Cell:
 
 
 def _run_cells(cells: list[_Cell], workers: int) -> list[list[SummaryRow]]:
-    """The summary rows of every cell, cells in order, from one replication
-    map over all of their replications in replication-major order."""
+    """The summary rows of every cell, cells in order, from one
+    :func:`_thread_map` over all of their replications in replication-major
+    order, run under one OpenBLAS hold. Fresh threads per cell took fresh
+    malloc arenas and made peak RSS vary by up to 4 MB from run to run."""
+    check_workers(workers)
     order = [(i, rep) for rep in range(max((c.reps for c in cells), default=0))
              for i, cell in enumerate(cells) if rep < cell.reps]
-    with _replication_map(workers, len(order)) as run_map:
-        results = list(run_map(lambda task: cells[task[0]].run(task[1]), order))
+    with OPENBLAS.one_thread():
+        results = _thread_map(min(workers, len(order)),
+                              lambda task: cells[task[0]].run(task[1]), order)
     per_cell: list[list[dict]] = [[] for _ in cells]
     for (i, _), result in zip(order, results):
         per_cell[i].append(result)
@@ -444,7 +441,8 @@ def run_experiments(
 ) -> tuple[list[SummaryRow], list[SummaryRow]]:
     """The estimation rows of every config with ``methods`` and the
     coverage rows of every config with ``ci_methods``, each in config and
-    then p order, from one replication map over all of their cells."""
+    then p order, from one pool of ``min(workers, replications)`` threads
+    over all of their cells."""
     est = [c for cfg in configs if cfg.methods for c in _estimation_cells(cfg)]
     cov = [c for cfg in configs if cfg.ci_methods for c in _coverage_cells(cfg)]
     rows = _run_cells(est + cov, workers)

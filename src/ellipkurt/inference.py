@@ -122,10 +122,11 @@ def tau_hat(theta_hat: float, p: int) -> float:
 def dof_hat(theta_hat: float) -> float:
     """Degrees-of-freedom plug-in (4 theta_hat - 2) / (theta_hat - 1).
 
-    Undefined for theta_hat <= 1. Values at or below 8 are returned but
-    are unusable in the heavy-tail interval formula, which rejects them.
+    Undefined for theta_hat <= 1 and for NaN. Values at or below 8 are
+    returned but are unusable in the heavy-tail interval formula, which
+    rejects them.
     """
-    if theta_hat <= 1.0:
+    if not theta_hat > 1.0:
         raise UndefinedDofError(
             f"degrees of freedom undefined for theta_hat <= 1 (got {theta_hat})"
         )

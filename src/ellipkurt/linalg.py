@@ -40,6 +40,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import operator
 import os
 import threading
@@ -73,9 +74,19 @@ def check_symmetric(M, name: str = "matrix") -> np.ndarray:
     return M
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy integer, not a
+    bool. The one integer test of the package's parameter checks."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_ar1(p: int, rho: float) -> None:
+    if not _is_int(p):
+        raise InvalidParameterError(f"p must be an integer, got {p!r}")
     if p < 1:
         raise InvalidParameterError(f"p must be >= 1, got {p}")
+    if not isinstance(rho, numbers.Real):
+        raise InvalidParameterError(f"rho must be a real number, got {rho!r}")
     if not abs(rho) < 1:
         raise InvalidParameterError(f"|rho| must be < 1, got {rho}")
 

@@ -41,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InvalidParameterError, MomentDoesNotExistError
-from .linalg import AR1, Dense, as_covariance
+from .linalg import AR1, Dense, _is_int, as_covariance
 
 
 class XiLaw:
@@ -70,12 +70,12 @@ class XiLaw:
 
 
 def _check_dim(p: int) -> None:
-    if not isinstance(p, (int, np.integer)) or p < 1:
+    if not _is_int(p) or p < 1:
         raise InvalidParameterError(f"dimension p must be a positive integer, got {p!r}")
 
 
 def _check_order(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= 4:
+    if not _is_int(m) or not 1 <= m <= 4:
         raise InvalidParameterError(f"moment order must be an integer in 1..4, got {m!r}")
 
 
@@ -158,7 +158,7 @@ class ScaledF(XiLaw):
 
     def __post_init__(self):
         _check_dim(self.p)
-        if not isinstance(self.d, (int, np.integer)) or self.d <= 8:
+        if not _is_int(self.d) or self.d <= 8:
             raise InvalidParameterError(
                 f"ScaledF requires an integer d > 8 for finite eighth moments, got {self.d!r}"
             )
@@ -312,7 +312,7 @@ def sample_data(spec: EllipticalSpec, n: int, rng: np.random.Generator) -> np.nd
     second n x p array is made. The location is added only when it is
     nonzero; adding a zero would change at most the sign of a zero entry.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidParameterError(f"n must be a positive integer, got {n!r}")
     xi = sample_xi(spec.xi, rng, n)
     Z, norms = _normal_rows(spec.p, rng, n)

@@ -362,9 +362,8 @@ def test_simulate_bad_workers_exit_2(tmp_path, capsys, workers, dry_run):
 
 
 def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
-    # estimate never looks up the library and a serial simulate never sets
-    # its threads (it looks it up for the AR(1) root); the workers line says
-    # what a pooled run did with them.
+    # estimate never looks up the library; simulate holds it at one thread
+    # at every --workers, and the workers line says so.
     path = tmp_path / "data.csv"
     write_csv(path, np.random.default_rng(3).normal(size=(20, 3)))
     assert main(["estimate", "--input", str(path), "--ci", "all"]) == 0
@@ -374,22 +373,23 @@ def test_simulate_reports_workers_and_blas(tmp_path, capsys, fake_blas):
             "--out-dir", str(tmp_path / "res")]
     assert main(args + ["--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "workers: 1 (serial; OpenBLAS threads left as set)"
-    assert fake_blas.lookups == 1 and fake_blas.lib.sets == []
+    assert lines[1] == "workers: 1 (OpenBLAS held to 1 thread while replications run)"
+    assert fake_blas.lookups == 1 and fake_blas.lib.sets == [1, 4]
     assert main(args + ["--workers", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("seed: ")
     assert lines[1] == "workers: 2 (OpenBLAS held to 1 thread while replications run)"
-    assert fake_blas.lib.sets == [1, 4]
+    assert fake_blas.lib.sets == [1, 4, 1, 4]
 
 
 @pytest.mark.filterwarnings("ignore:aggregate over a single replication")
 def test_simulate_preset_runs_one_pool_and_one_blas_hold(tmp_path, capsys, fake_blas,
                                                         monkeypatch):
-    # Every config and cell of a preset shares one pool: two worker threads
-    # are started, as asked for, every replication samples in one of them,
-    # and OpenBLAS is held at one thread once. The harness samples through
-    # its module global, so a wrapper there sees each replication's thread.
+    # Every config and cell of a preset shares one pool: as many worker
+    # threads are started as asked for, every replication samples in one of
+    # them, never in the main thread, and OpenBLAS is held at one thread
+    # once. The harness samples through its module global, so a wrapper
+    # there sees each replication's thread.
     started, sampled_in = [], set()
 
     class CountingThread(threading.Thread):
@@ -405,11 +405,15 @@ def test_simulate_preset_runs_one_pool_and_one_blas_hold(tmp_path, capsys, fake_
 
     monkeypatch.setattr(harness, "threading", SimpleNamespace(Thread=CountingThread))
     monkeypatch.setattr(harness, "sample_data", sampling)
-    args = ["simulate", "--preset", "table2-desk", "--reps", "2", "--workers", "2",
-            "--out-dir", str(tmp_path / "res")]
-    assert main(args) == 0
-    assert len(started) == 2 and sampled_in <= set(started)
-    assert fake_blas.lib.sets == [1, 4]
+    for workers in (1, 2):
+        started.clear()
+        sampled_in.clear()
+        fake_blas.lib.sets.clear()
+        args = ["simulate", "--preset", "table2-desk", "--reps", "2",
+                "--workers", str(workers), "--out-dir", str(tmp_path / "res")]
+        assert main(args) == 0
+        assert len(started) == workers and sampled_in and sampled_in <= set(started)
+        assert fake_blas.lib.sets == [1, 4]
 
 
 def test_simulate_reports_why_blas_is_not_limited(tmp_path, capsys, fake_blas):

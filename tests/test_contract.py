@@ -1,12 +1,14 @@
 """The contract of every data entry point: a finite result or an
 ``EllipkurtError``, never NaN, inf, a warning or a bare Python exception,
 whatever the input; and where both succeed, the fast U-statistics agree
-with the brute force."""
+with the brute force. Parameters of the wrong type or value raise an
+``EllipkurtError`` too."""
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 import scipy.linalg  # noqa: F401  (imported here, so that no import warns inside a call)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +17,15 @@ from hypothesis.extra.numpy import arrays
 from ellipkurt import (
     AR1,
     EllipkurtError,
+    ExperimentConfig,
     centered_gram,
+    dof_hat,
     estimate_kurtosis,
     oracle_theta,
     plugin_moments_case2,
+    replication_rng,
+    run_experiments,
+    toeplitz_ar1,
     ustats_bruteforce,
     ustats_fast,
     wl_theta,
@@ -171,3 +178,35 @@ def test_entry_points_on_odd_input_return_finite_floats_or_raise_their_own_error
 def test_entry_points_reject_numbers_written_as_text(X):
     for name in ENTRY_POINTS:
         assert _call(name, X) is None, name
+
+
+def _config(**kw):
+    return ExperimentConfig(**{"family": "normal", "p_list": (5,), "n": 8, "reps": 2, **kw})
+
+
+BAD_PARAMETERS = {
+    "AR1 float p": lambda: AR1(5.5, 0.5),
+    "AR1 text rho": lambda: AR1(5, "x"),
+    "toeplitz_ar1 text p": lambda: toeplitz_ar1("5", 0.5),
+    "config rho None": lambda: _config(rho=None),
+    "config p_list int": lambda: _config(p_list=5),
+    "config methods None": lambda: _config(methods=None),
+    "config ci_methods None": lambda: _config(ci_methods=None),
+    "config family array": lambda: _config(family=np.array(["normal", "t"])),
+    "workers float": lambda: run_experiments([_config()], workers=1.5),
+    "workers text": lambda: run_experiments([_config()], workers="2"),
+    "dof_hat nan": lambda: dof_hat(math.nan),
+    "replication_rng negative seed": lambda: replication_rng(-1, 0, 5, 0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PARAMETERS)
+def test_bad_parameters_raise_their_own_error(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EllipkurtError):
+            BAD_PARAMETERS[case]()
+
+
+def test_no_configs_run_no_replications():
+    assert run_experiments([]) == ([], [])

@@ -27,11 +27,12 @@ from ellipkurt import (
 from ellipkurt import harness, linalg
 from ellipkurt.baselines import oracle_theta, wl_theta
 from ellipkurt.harness import (
+    _Cell,
     _cell_spec,
     _coverage_rep,
     _estimation_rep,
     _family_code,
-    _replication_map,
+    _run_cells,
     _thread_map,
 )
 from ellipkurt.inference import plugin_moments_case2
@@ -400,11 +401,11 @@ def test_workers_below_one_rejected(workers):
 
 
 def test_pooled_replications_run_with_one_blas_thread():
-    # Inside a pooled replication numpy's OpenBLAS reads one thread; after
-    # the pool, also one whose replication raised, its own. A replication's
-    # exception reaches the caller, and no replication starts after it: task
-    # 4 runs in the other worker until the failing worker has ended, and
-    # then that worker takes no further task.
+    # Inside a replication numpy's OpenBLAS reads one thread, at one worker
+    # as at two; after the pool, also one whose replication raised, its
+    # own. A replication's exception reaches the caller, and no replication
+    # starts after it: task 4 runs in the other worker until the failing
+    # worker has ended, and then that worker takes no further task.
     lib = linalg.OPENBLAS.library
     if lib is None:
         pytest.skip(f"no bundled OpenBLAS: {linalg.OPENBLAS.reason}")
@@ -429,15 +430,13 @@ def test_pooled_replications_run_with_one_blas_thread():
     try:
         lib.set(2)
         raising = False
-        for workers, inside in ((2, 1), (1, 2)):
-            with _replication_map(workers, 12) as run_map:
-                for _ in range(2):  # two cells
-                    assert list(run_map(count, range(6))) == [inside] * 6
+        for workers in (1, 2):
+            cells = [_Cell(6, count, list), _Cell(6, count, list)]
+            assert _run_cells(cells, workers) == [[1] * 6, [1] * 6]
             assert lib.get() == 2
         raising = True
         with pytest.raises(RuntimeError, match="replication failed"):
-            with _replication_map(2, 12) as run_map:
-                list(run_map(count, range(12)))
+            _run_cells([_Cell(12, count, list)], 2)
         assert sorted(started) == [0, 1, 2, 3, 4]
         assert not failing[0].is_alive()
         assert lib.get() == 2
@@ -465,14 +464,12 @@ def test_thread_map_runs_each_task_once_in_order_under_contention():
     assert [t for t in threading.enumerate() if t.name.startswith("ellipkurt-")] == []
 
 
-def test_serial_runs_never_touch_blas_threads(fake_blas):
-    # A serial run looks the library up for the AR(1) root but never sets
-    # its thread count.
-    cfg = small_config(reps=2)
-    run_experiments([cfg], workers=1)
-    run_experiments([small_config(reps=2, methods=(), ci_methods=("case1",))], workers=1)
+def test_every_run_holds_blas_threads_once(fake_blas):
+    # A run at one worker holds the limit as a pooled run does: once,
+    # across all of its cells. The library is looked up once.
+    cfgs = [small_config(reps=2), small_config(reps=2, methods=(), ci_methods=("case1",))]
+    for workers in (1, 2):
+        fake_blas.lib.sets.clear()
+        run_experiments(cfgs, workers=workers)
+        assert fake_blas.lib.sets == [1, 4]
     assert fake_blas.lookups == 1
-    assert fake_blas.lib.sets == []
-    # A pooled run holds the limit once, across all of its cells.
-    run_experiments([cfg], workers=2)
-    assert fake_blas.lib.sets == [1, 4]

@@ -30,8 +30,8 @@ interpreter work, which holds the interpreter lock, while large-p
 ones spend their time in the generator, in numpy's array loops and Gram
 products, and in the AR(1) root's LAPACK solve, all of which release it
 (the root calls numpy's OpenBLAS through ``ctypes``,
-:data:`ellipkurt.linalg.OPENBLAS`; scipy's f2py wrapper, its fallback
-where that library lacks the routine, holds the lock). So threads that
+:data:`ellipkurt.linalg.OPENBLAS`; its numpy fallback, where that library
+lacks the routine, holds the lock between columns). So threads that
 run at the same moment mix the two kinds and both cores stay busy; a pool
 per cell or per experiment would run the small-p cells alone. While the
 pool runs, numpy's OpenBLAS, the one BLAS that a replication of an AR(1)
@@ -187,10 +187,15 @@ def _family_code(cfg: ExperimentConfig) -> int:
 def replication_rng(seed: int, family_code: int, p: int, rep: int) -> np.random.Generator:
     """Independent generator for one replication, derived order-free from
     (master seed, family code, dimension, replication index), each a
-    nonnegative integer."""
+    nonnegative integer. Any other part, a bool or a float among them,
+    raises :class:`InvalidParameterError` rather than alias another
+    integer's stream."""
+    parts = (seed, family_code, p, rep)
+    if not all(map(_is_int, parts)):
+        raise InvalidParameterError(f"replication seed parts must be integers, got {parts!r}")
     try:
-        ss = np.random.SeedSequence(entropy=[int(seed), int(family_code), int(p), int(rep)])
-    except (TypeError, ValueError) as exc:
+        ss = np.random.SeedSequence(entropy=[int(part) for part in parts])
+    except ValueError as exc:
         raise InvalidParameterError(f"replication seed parts: {exc}") from exc
     return np.random.default_rng(ss)
 

@@ -23,8 +23,11 @@ with a method-specific asymptotic scale sigma_hat:
   builds it once per sample (:func:`ellipkurt.linalg.centered_gram`) and
   passes it to both.
 
-The normal quantile z comes from :class:`statistics.NormalDist`, so this
-module, and with it ``estimate``, imports no scipy.
+The scalar plug-ins (``delta_hat``, ``tau_hat``, ``dof_hat``,
+``sigma2_case1``, ``sigma2_case2``) share one argument check: p a positive
+integer and every other argument a finite real number, else
+:class:`InvalidParameterError`; a result that overflows raises it too.
+The normal quantile z comes from :class:`statistics.NormalDist`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedDofError,
 )
-from .linalg import centered_gram, exact_sum, require_finite, require_normal, trace_powers
+from .linalg import _is_int, centered_gram, exact_sum, require_finite, require_normal, trace_powers
 from .moments import sphere_quartic
 from .ustat import KurtosisEstimate
 
@@ -109,35 +112,61 @@ def z_quantile(alpha: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(level)
 
 
+def _is_real(value) -> bool:
+    # A float is tested first: the ABC check costs several times more.
+    return type(value) is float or isinstance(value, numbers.Real)
+
+
+def _check_plug_in(p, *values) -> None:
+    """The argument check of the scalar plug-ins: p a positive integer (None
+    for a plug-in without one) and each value a finite real number."""
+    if p is not None and not (_is_int(p) and p >= 1):
+        raise InvalidParameterError(f"p must be a positive integer, got {p!r}")
+    for value in values:
+        if not (_is_real(value) and math.isfinite(value)):
+            raise InvalidParameterError(f"plug-in arguments must be finite real numbers, "
+                                        f"got {value!r}")
+
+
+def _finite_result(value: float) -> float:
+    if not math.isfinite(value):
+        raise InvalidParameterError("plug-in value overflows double precision")
+    return value
+
+
 def delta_hat(theta_hat: float, p: int) -> float:
     """Fourth-moment excess plug-in (p + 2)(theta_hat - 1)."""
-    return (p + 2) * (theta_hat - 1.0)
+    _check_plug_in(p, theta_hat)
+    return _finite_result((p + 2) * (theta_hat - 1.0))
 
 
 def tau_hat(theta_hat: float, p: int) -> float:
     """Light-tail scale plug-in (p + 2) theta_hat - p."""
-    return (p + 2) * theta_hat - p
+    _check_plug_in(p, theta_hat)
+    return _finite_result((p + 2) * theta_hat - p)
 
 
 def dof_hat(theta_hat: float) -> float:
     """Degrees-of-freedom plug-in (4 theta_hat - 2) / (theta_hat - 1).
 
-    Undefined for theta_hat <= 1 and for NaN. Values at or below 8 are
-    returned but are unusable in the heavy-tail interval formula, which
-    rejects them.
+    Undefined for theta_hat <= 1 and for NaN, which raise
+    :class:`UndefinedDofError`. Values at or below 8 are returned but are
+    unusable in the heavy-tail interval formula, which rejects them.
     """
-    if not theta_hat > 1.0:
+    if _is_real(theta_hat) and not theta_hat > 1.0:
         raise UndefinedDofError(
             f"degrees of freedom undefined for theta_hat <= 1 (got {theta_hat})"
         )
-    return (4.0 * theta_hat - 2.0) / (theta_hat - 1.0)
+    _check_plug_in(None, theta_hat)
+    return _finite_result((4.0 * theta_hat - 2.0) / (theta_hat - 1.0))
 
 
 def sigma2_case1(tau_hat: float, ratio_hat: float, p: int) -> float:
     """Light-tail asymptotic variance 2 ((tau_hat - 2)/p + 2 ratio_hat)^2,
     where ratio_hat estimates tr sigma^2 / tr^2 sigma (use t3 / t2)."""
+    _check_plug_in(p, tau_hat, ratio_hat)
     s = (tau_hat - 2.0) / p + 2.0 * ratio_hat
-    return 2.0 * s * s
+    return _finite_result(2.0 * s * s)
 
 
 def plugin_moments_case2(X) -> PlugInMoments:
@@ -196,9 +225,12 @@ def sigma2_case2(theta_hat: float, pm: PlugInMoments, p: int) -> float:
     point interval instead of aborting. The clamp is reported as data, not
     as a warning: the interval's ``sigma_hat`` is 0.
     """
+    if not isinstance(pm, PlugInMoments):
+        raise InvalidParameterError(f"pm must be a PlugInMoments, got {pm!r}")
+    _check_plug_in(p, theta_hat, pm.varrho_hat, pm.varphi_hat)
     A = (p + 2) * theta_hat / p
     out = pm.varphi_hat / p**4 - A * A - 4.0 * (pm.varrho_hat / p**3) * A + 4.0 * A**3
-    return max(out, 0.0)
+    return max(_finite_result(out), 0.0)
 
 
 def _half_width_scale(est: KurtosisEstimate, method: CiMethod, plugin) -> float:

@@ -22,17 +22,13 @@ of them also accepts the raw data and then builds it itself.
 
 Last, :data:`OPENBLAS` is numpy's bundled OpenBLAS, the one native library
 the package drives, found by path on first use: it holds the library at
-one thread while concurrent callers run, and it runs the AR(1) root's
-``dtbtrs`` through ``ctypes``, which releases the interpreter lock, so
-threads sampling at once run their roots at once. Where numpy's library
-lacks a routine, the hold does nothing, the root runs scipy's f2py
-wrapper, which holds the lock, and ``OPENBLAS.reason`` says why.
-
-Importing this module imports no scipy module, and neither do the AR(1)
-maps, the Gram summary or the OpenBLAS lookup: a Python module of scipy is
-imported only by the two callers that need one, :meth:`Dense.whiten`
-(``solve_triangular``) and the f2py fallback of :meth:`OpenBlas.solve`,
-when first called.
+one thread while concurrent callers run, and it runs LAPACK's triangular
+solves through ``ctypes``, which releases the interpreter lock: the AR(1)
+root's banded ``dtbtrs``, so threads sampling at once run their roots at
+once, and the dense whitening's ``dtrtrs``. Where numpy's library lacks a
+routine, the hold does nothing, each solve runs in numpy instead, equal to
+LAPACK's up to rounding, and ``OPENBLAS.reason`` says why. The package
+imports no scipy module.
 """
 
 from __future__ import annotations
@@ -194,8 +190,9 @@ class Dense:
     """A user-supplied covariance matrix with lazily computed factors.
 
     ``apply_root`` uses the symmetric square root (:func:`sqrt_psd`) and
-    ``whiten`` the lower Cholesky factor; each is computed on first use
-    and kept. The two maps use different factors, which is harmless: a
+    ``whiten`` the lower Cholesky factor, through a triangular solve
+    (:meth:`OpenBlas.solve_triangular`); each factor is computed on first
+    use and kept. The two maps use different factors, which is harmless: a
     sphere draw u is rotation invariant, and the Mahalanobis norm of
     R u is that of L u.
     """
@@ -233,15 +230,15 @@ class Dense:
         return Z @ self.root
 
     def whiten(self, Y) -> np.ndarray:
-        """Rows y of Y mapped to L^{-1} y with L the Cholesky factor.
+        """Rows y of Y mapped to L^{-1} y with L the Cholesky factor, in a
+        new C-ordered array.
 
         Finiteness of Y is the caller's contract; the solve skips the scan.
-        scipy is imported here, on first use, so that no other path loads it.
         """
-        from scipy.linalg import solve_triangular
-
-        return solve_triangular(self.chol, np.asarray(Y, dtype=float).T, lower=True,
-                                check_finite=False).T
+        W, info = OPENBLAS.solve_triangular(self.chol, Y)
+        if info != 0:
+            raise SingularMatrixError(f"whitening: LAPACK dtrtrs returned info={info}")
+        return W
 
     def whitened_sq_norms(self, Y) -> np.ndarray:
         """||L^{-1} y||^2 per row y of Y, from the whitened rows."""
@@ -467,8 +464,8 @@ def centered_gram(X, overwrite_x: bool = False) -> CenteredGram:
     either the data or their summary, and the caller that holds the sample
     builds the summary once for all of them. Raw data are checked by
     :func:`as_data_matrix`. X is centered in a copy and left as it is,
-    unless ``overwrite_x`` lets a float64 X be centered in place, as in
-    ``scipy.linalg``: then X holds the centered rows afterwards.
+    unless ``overwrite_x`` lets a float64 X be centered in place: then X
+    holds the centered rows afterwards.
 
     Costs O(n p min(n, p)). M is exactly symmetric. The rows are shifted by
     the first row before the column mean is taken out, which is the same
@@ -514,17 +511,22 @@ class _Library:
     get: Callable[[], int]
     set: Callable[[int], None]
     dtbtrs: Callable[..., None]
+    dtrtrs: Callable[..., None]
 
 
 # Exported names in numpy's OpenBLAS, the ILP64 scipy-openblas64 build of
-# numpy 2 wheels: the thread-count getter and setter and LAPACK dtbtrs.
+# numpy 2 wheels: the thread-count getter and setter and LAPACK dtbtrs and
+# dtrtrs.
 _THREADS_SYMBOL = "scipy_openblas_{}_num_threads64_"
 _DTBTRS_SYMBOL = "scipy_dtbtrs_64_"
+_DTRTRS_SYMBOL = "scipy_dtrtrs_64_"
 _I64 = ctypes.POINTER(ctypes.c_int64)
 # uplo, trans, diag, n, kd, nrhs, ab, ldab, b, ldb, info, then the hidden
-# lengths of the three character arguments that gfortran passes.
+# lengths of the three character arguments that gfortran passes; dtrtrs
+# takes the same arguments without kd.
 _DTBTRS_ARGTYPES = ([ctypes.c_char_p] * 3 + [_I64] * 3
                     + [ctypes.c_void_p, _I64, ctypes.c_void_p, _I64, _I64] + [ctypes.c_size_t] * 3)
+_DTRTRS_ARGTYPES = _DTBTRS_ARGTYPES[:4] + _DTBTRS_ARGTYPES[5:]
 
 
 def _find_openblas() -> tuple[_Library | None, str | None]:
@@ -534,7 +536,8 @@ def _find_openblas() -> tuple[_Library | None, str | None]:
     already holds returns that same library, so its thread count is
     numpy's."""
     misses = []
-    symbols = (_THREADS_SYMBOL.format("get"), _THREADS_SYMBOL.format("set"), _DTBTRS_SYMBOL)
+    symbols = (_THREADS_SYMBOL.format("get"), _THREADS_SYMBOL.format("set"), _DTBTRS_SYMBOL,
+               _DTRTRS_SYMBOL)
     for path in sorted(glob.glob(f"{os.path.dirname(np.__file__)}.libs/*openblas*")):
         name = os.path.basename(path)
         try:
@@ -546,12 +549,25 @@ def _find_openblas() -> tuple[_Library | None, str | None]:
         if missing:
             misses.append(f"{name}: no {', '.join(missing)}")
             continue
-        get, set_, dtbtrs = (getattr(lib, s) for s in symbols)
+        get, set_, dtbtrs, dtrtrs = (getattr(lib, s) for s in symbols)
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         dtbtrs.argtypes, dtbtrs.restype = _DTBTRS_ARGTYPES, None
-        return _Library(path, get, set_, dtbtrs), None
+        dtrtrs.argtypes, dtrtrs.restype = _DTRTRS_ARGTYPES, None
+        return _Library(path, get, set_, dtbtrs, dtrtrs), None
     return None, "; ".join(misses) or "no OpenBLAS library bundled with numpy"
+
+
+def _forward_substitution(ab: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """:meth:`OpenBlas.solve` in numpy, in place, for a library without
+    ``dtbtrs``: column j of Z takes off the multiples of columns
+    j - kd .. j - 1, in that order, as the forward substitution of
+    ``dtbtrs`` does, each product rounded before it is subtracted."""
+    kd = ab.shape[0] - 1
+    for j in range(1, Z.shape[1]):
+        for i in range(max(j - kd, 0), j):
+            Z[:, j] -= ab[j - i, i] * Z[:, i]
+    return Z
 
 
 class OpenBlas:
@@ -559,7 +575,7 @@ class OpenBlas:
 
     The library is looked up on first use, once, under a lock
     (:data:`OPENBLAS` is the process's one instance): :attr:`library` is
-    what was found and :attr:`reason` says why nothing was. Two things
+    what was found and :attr:`reason` says why nothing was. Three things
     use it:
 
     - :meth:`one_thread` holds the library at one thread while any holder
@@ -569,9 +585,14 @@ class OpenBlas:
       escapes. Without a library it does nothing.
     - :meth:`solve` calls LAPACK ``dtbtrs`` through ``ctypes``, whose calls
       release the interpreter lock, so threads that solve at once run at
-      once. Without a library it runs scipy's f2py wrapper
-      ``scipy.linalg.lapack.dtbtrs``, which holds the lock for the whole
-      solve; the two gave the same bits in every case tested.
+      once. Without a library it runs a numpy column recurrence, which
+      holds the lock between columns. It gives LAPACK's bits where each
+      product of the recurrence is exact (a subdiagonal of zeros or signed
+      powers of two, as at rho = 0.5); elsewhere the two differ at the
+      rounding level, since the BLAS kernel may fuse the multiply-add.
+    - :meth:`solve_triangular` calls LAPACK ``dtrtrs`` the same way.
+      Without a library it runs ``np.linalg.solve`` on the factor, an LU
+      solve that agrees with ``dtrtrs`` up to rounding.
     """
 
     def __init__(self):
@@ -636,10 +657,7 @@ class OpenBlas:
         ab = np.require(ab, np.float64, "FA")
         lib = self.library
         if lib is None:
-            from scipy.linalg.lapack import dtbtrs
-
-            X, info = dtbtrs(ab, Z.T, uplo="L", trans="N", diag="U", overwrite_b=1)
-            return X.T, int(info)
+            return _forward_substitution(ab, Z), 0
         n, p = Z.shape
         rows = ab.shape[0]
         i64, info = ctypes.c_int64, ctypes.c_int64(0)
@@ -647,6 +665,30 @@ class OpenBlas:
                    ctypes.byref(i64(n)), ab.ctypes.data, ctypes.byref(i64(rows)),
                    Z.ctypes.data, ctypes.byref(i64(max(p, 1))), ctypes.byref(info), 1, 1, 1)
         return Z, info.value
+
+    def solve_triangular(self, L: np.ndarray, Y) -> tuple[np.ndarray, int]:
+        """Solve L x = y for each row y of Y; the solutions as the rows of a
+        new C-ordered array, and LAPACK's ``info``. Y is left as it is.
+
+        L is a C-ordered p x p lower triangular float64 matrix, such as
+        ``np.linalg.cholesky`` returns; its upper triangle is not read. A
+        float64 copy of Y in C order, which is the F-ordered p x n
+        right-hand side Y', is solved in place; L's buffer is passed as
+        it is, read as the upper triangular L' and solved transposed.
+        """
+        X = np.array(Y, dtype=np.float64, order="C")
+        L = np.require(L, np.float64, "CA")
+        if X.ndim != 2 or L.shape != (X.shape[1],) * 2:
+            raise ValueError(f"triangle {L.shape} does not fit right-hand sides {X.shape}")
+        lib = self.library
+        if lib is None:
+            return np.ascontiguousarray(np.linalg.solve(L, X.T).T), 0
+        n, p = X.shape
+        i64, info, ld = ctypes.c_int64, ctypes.c_int64(0), ctypes.c_int64(max(p, 1))
+        lib.dtrtrs(b"U", b"T", b"N", ctypes.byref(i64(p)), ctypes.byref(i64(n)),
+                   L.ctypes.data, ctypes.byref(ld), X.ctypes.data, ctypes.byref(ld),
+                   ctypes.byref(info), 1, 1, 1)
+        return X, info.value
 
 
 OPENBLAS = OpenBlas()

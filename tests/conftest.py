@@ -37,10 +37,12 @@ def gram_builds(monkeypatch):
 
 class FakeOpenBlas:
     """Stands in for numpy's OpenBLAS: a thread count and a log of sets,
-    and the real library's ``dtbtrs``, so that AR(1) roots still solve."""
+    and the real library's ``dtbtrs`` and ``dtrtrs``, so that AR(1) roots
+    and dense whitening still solve."""
 
-    def __init__(self, path, count, dtbtrs):
-        self.path, self.count, self.sets, self.dtbtrs = path, count, [], dtbtrs
+    def __init__(self, path, count, real):
+        self.path, self.count, self.sets = path, count, []
+        self.dtbtrs, self.dtrtrs = real.dtbtrs, real.dtrtrs
 
     def get(self):
         return self.count
@@ -61,7 +63,7 @@ def fake_blas(monkeypatch):
     real, reason = linalg._find_openblas()
     if real is None:
         pytest.skip(f"no bundled OpenBLAS: {reason}")
-    state = SimpleNamespace(lib=FakeOpenBlas("numpy", 4, real.dtbtrs), lookups=0)
+    state = SimpleNamespace(lib=FakeOpenBlas("numpy", 4, real), lookups=0)
 
     def find():
         state.lookups += 1

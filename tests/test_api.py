@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,10 +25,12 @@ def test_all_declares_the_public_namespace():
 
 
 # Runs in a fresh interpreter: the package, its CLI, one estimate with every
-# interval and one pooled AR(1) simulate with interval cells, then reports
-# what was loaded (scipy, and the stdlib modules of a future-based thread
-# pool), which OpenBLAS files are mapped (None without /proc/self/maps) and
-# which library the package drove.
+# interval, one pooled AR(1) simulate with interval cells, a quick ustat
+# validation and an oracle estimate on a dense covariance matrix, which
+# whitens with its Cholesky factor; then reports what was loaded (scipy, and
+# the stdlib modules of a future-based thread pool), which OpenBLAS files
+# are mapped (None without /proc/self/maps) and which library the package
+# drove.
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, os, sys
 import numpy as np
@@ -42,9 +45,14 @@ with contextlib.redirect_stdout(io.StringIO()):
         ellipkurt.cli.main(["simulate", "--family", "t", "--p", "8", "--reps", "2",
                             "--workers", "2", "--ci-method", "case1", "--ci-method", "case2",
                             "--out-dir", out]),
+        ellipkurt.cli.main(["validate", "ustat", "--quick"]),
     ]
+sigma = ellipkurt.toeplitz_ar1(6, 0.4)
+X = rng.standard_normal((30, 6)) @ np.linalg.cholesky(sigma).T
+oracle = ellipkurt.oracle_theta(X, np.zeros(6), sigma)
 print(json.dumps({
     "codes": codes,
+    "oracle": oracle,
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
     "pool": sorted(m for m in ("concurrent.futures", "logging", "queue") if m in sys.modules),
     "reason": linalg.OPENBLAS.reason,
@@ -56,16 +64,16 @@ print(json.dumps({
 
 
 def test_import_estimate_and_ar1_simulate_load_no_scipy(tmp_path):
-    # scipy is imported only where a dense covariance is whitened or the
-    # f2py fallback runs; start-up, estimate and the AR(1) cells need none
-    # of it, nor scipy's OpenBLAS: the root and the thread hold both drive
-    # numpy's.
+    # The package imports no scipy: start-up, estimate, the AR(1) cells,
+    # validation and dense whitening need none of it, nor scipy's OpenBLAS:
+    # the root, the whitening and the thread hold all drive numpy's.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
+    assert math.isfinite(report["oracle"])
     assert report["scipy"] == []
     assert report["pool"] == []
     assert report["reason"] is None

@@ -9,7 +9,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (imported here, so that no import warns inside a call)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -18,13 +17,18 @@ from ellipkurt import (
     AR1,
     EllipkurtError,
     ExperimentConfig,
+    PlugInMoments,
     centered_gram,
+    delta_hat,
     dof_hat,
     estimate_kurtosis,
     oracle_theta,
     plugin_moments_case2,
     replication_rng,
     run_experiments,
+    sigma2_case1,
+    sigma2_case2,
+    tau_hat,
     toeplitz_ar1,
     ustats_bruteforce,
     ustats_fast,
@@ -197,6 +201,18 @@ BAD_PARAMETERS = {
     "workers text": lambda: run_experiments([_config()], workers="2"),
     "dof_hat nan": lambda: dof_hat(math.nan),
     "replication_rng negative seed": lambda: replication_rng(-1, 0, 5, 0),
+    "replication_rng float seed": lambda: replication_rng(0.9, 0, 5, 0),
+    "replication_rng bool seed": lambda: replication_rng(True, 0, 5, 0),
+    "replication_rng float rep": lambda: replication_rng(0, 0, 5, 1.5),
+    "dof_hat None": lambda: dof_hat(None),
+    "dof_hat inf": lambda: dof_hat(math.inf),
+    "tau_hat text": lambda: tau_hat("x", 5),
+    "tau_hat overflow": lambda: tau_hat(1e308, 5),
+    "delta_hat text": lambda: delta_hat("x", 5),
+    "sigma2_case1 nan": lambda: sigma2_case1(math.nan, 0.1, 5),
+    "sigma2_case1 p 0": lambda: sigma2_case1(1.0, 0.1, 0),
+    "sigma2_case2 nan": lambda: sigma2_case2(math.nan, PlugInMoments(1.0, 1.0), 5),
+    "sigma2_case2 no moments": lambda: sigma2_case2(1.0, None, 5),
 }
 
 

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from ellipkurt import (
     CSV_HEADER,
@@ -298,11 +297,10 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     monkeypatch.setattr(linalg, "sqrt_psd", forbidden)
-    # Dense.whiten imports solve_triangular when called, so this is the name it finds.
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    # Dense.whiten's triangular solve.
+    monkeypatch.setattr(linalg.OPENBLAS, "solve_triangular", forbidden)
     monkeypatch.setattr(linalg, "toeplitz_ar1", forbidden)
     # The AR(1) root is a triangular-banded solve, not a banded LU.
-    monkeypatch.setattr(scipy.linalg, "solve_banded", forbidden)
     monkeypatch.setattr(linalg, "solve_banded", forbidden, raising=False)
     cfg = small_config(reps=3)
     assert isinstance(_cell_spec(cfg, 10).sigma, linalg.AR1)

@@ -102,6 +102,8 @@ def test_dof_hat():
         dof_hat(1.0)
     with pytest.raises(UndefinedDofError):
         dof_hat(0.9)
+    with pytest.raises(UndefinedDofError):
+        dof_hat(math.nan)
 
 
 def test_sigma2_case1_normal_case():

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtbtrs
 
 from ellipkurt import (
     InvalidParameterError,
     NotPSDError,
+    SingularMatrixError,
     estimate_kurtosis,
     oracle_theta,
     plugin_moments_case2,
@@ -428,7 +430,9 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def check_scaled_root_against_f2py(rho, per_row):
+def check_scaled_root_against_f2py(rho, per_row, rtol=None):
+    # The same bits as the f2py dtbtrs wrapper, or, given rtol, agreement
+    # within rtol relative in norm.
     for n in (1, 3, 100):
         for p in (1, 2, 3, 1600):
             rng = np.random.default_rng([n, p])
@@ -437,7 +441,10 @@ def check_scaled_root_against_f2py(rho, per_row):
             expected = f2py_scaled_root(Z, rho, scale)
             X = AR1(p, rho).scaled_root(Z, scale)
             assert np.shares_memory(X, Z)  # written over Z
-            assert_same_bits(X, expected)
+            if rtol is None:
+                assert_same_bits(X, expected)
+            else:
+                assert X.shape == expected.shape and rel_norm(X, expected) <= rtol
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-scale", "row-scales"])
@@ -447,13 +454,17 @@ def test_ar1_scaled_root_is_f2py_dtbtrs_bit_for_bit(rho, per_row):
     check_scaled_root_against_f2py(rho, per_row)
 
 
-def test_ar1_root_without_the_lapack_symbol_runs_f2py(monkeypatch):
+def test_ar1_root_without_the_lapack_symbol_runs_the_numpy_recurrence(monkeypatch):
     # numpy's library without the routine is not driven at all: the root
-    # runs the f2py wrapper and the reason names the missing symbol.
+    # runs the numpy column recurrence and the reason names the missing
+    # symbol. Where rho is a signed power of two every product is exact,
+    # so the bits are dtbtrs's; elsewhere the BLAS kernel may fuse the
+    # multiply-add, and the two agree up to rounding.
     monkeypatch.setattr(linalg, "_DTBTRS_SYMBOL", "no_such_dtbtrs_64_")
     monkeypatch.setattr(linalg, "OPENBLAS", linalg.OpenBlas())
-    for rho in (0.5, -0.99):
+    for rho in (0.5, -0.5):
         check_scaled_root_against_f2py(rho, per_row=True)
+    check_scaled_root_against_f2py(-0.99, per_row=True, rtol=1e-10)
     assert linalg.OPENBLAS.library is None
     assert "no no_such_dtbtrs_64_" in linalg.OPENBLAS.reason
 
@@ -461,6 +472,8 @@ def test_ar1_root_without_the_lapack_symbol_runs_f2py(monkeypatch):
 def test_ar1_root_of_a_strided_view_is_solved_in_a_copy():
     # No pointer is passed for a strided view: it is solved in a copy, and
     # the columns between its columns are never written.
+    if linalg.OPENBLAS.reason is not None:
+        pytest.skip(linalg.OPENBLAS.reason)  # the numpy fallback rounds apart at rho = 0.8
     rng = np.random.default_rng(16)
     Z = rng.standard_normal((7, 30))
     before = Z.copy()
@@ -474,7 +487,8 @@ def test_ar1_root_of_a_strided_view_is_solved_in_a_copy():
 
 def test_ar1_root_of_f_ordered_and_strided_z_runs_the_direct_call(monkeypatch):
     # A layout never picks another routine: an F-ordered and a strided Z
-    # are solved in a C-ordered copy by the direct call, never by f2py.
+    # are solved in a C-ordered copy by the direct call, never by the
+    # numpy fallback.
     if linalg.OPENBLAS.reason is not None:
         pytest.skip(linalg.OPENBLAS.reason)
     rng = np.random.default_rng(18)
@@ -483,11 +497,11 @@ def test_ar1_root_of_f_ordered_and_strided_z_runs_the_direct_call(monkeypatch):
         strided, fortran = Z.copy()[:, ::2], np.asfortranarray(Z)
         expected = (f2py_scaled_root(Z[:, ::2], rho, 1.3), f2py_scaled_root(Z, rho, 1.3))
 
-        def no_f2py(*args, **kwargs):
-            raise AssertionError("the f2py wrapper ran")
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("the numpy fallback ran")
 
         with monkeypatch.context() as patch:
-            patch.setattr("scipy.linalg.lapack.dtbtrs", no_f2py)
+            patch.setattr(linalg, "_forward_substitution", no_fallback)
             got = (AR1(20, rho).scaled_root(strided, 1.3), AR1(40, rho).scaled_root(fortran, 1.3))
         for X, want in zip(got, expected):
             assert X.flags.c_contiguous
@@ -558,6 +572,57 @@ def test_dense_maps_use_symmetric_root_and_cholesky():
     assert isinstance(as_covariance(M), Dense)
     with pytest.raises(NotPSDError):
         Dense(np.diag([1.0, -0.5])).apply_root(Z[:, :2])
+
+
+def random_spd(p, rng):
+    A = rng.standard_normal((p, p))
+    return A @ A.T + p * np.eye(p)
+
+
+@pytest.mark.parametrize("p", [1, 5, 50, 400])
+def test_dense_whiten_is_solve_triangular_bit_for_bit(p):
+    # LAPACK dtrtrs in numpy's OpenBLAS, on the Cholesky buffer read as its
+    # transpose, gives the bits of scipy's solve_triangular, for a C-ordered,
+    # an F-ordered and a strided Y, each left as it is.
+    assert linalg.OPENBLAS.reason is None  # the direct LAPACK call is what runs
+    rng = np.random.default_rng(p)
+    for sigma in (random_spd(p, rng), toeplitz_ar1(p, 0.9)):
+        cov = Dense(sigma)
+        Y = rng.standard_normal((30, p))
+        expected = solve_triangular(cov.chol, Y.T, lower=True).T
+        wide = np.repeat(Y, 2, axis=1)
+        for layout in (Y, np.asfortranarray(Y), wide[:, ::2]):
+            before = layout.copy()
+            W = cov.whiten(layout)
+            assert W.flags.c_contiguous and not np.shares_memory(W, layout)
+            assert_same_bits(W, expected)
+            assert np.array_equal(layout, before)
+
+
+def test_dense_whiten_without_the_lapack_symbol_solves_in_numpy(monkeypatch):
+    # numpy's library without dtrtrs is not driven: whitening solves with
+    # np.linalg.solve on the factor, equal to dtrtrs up to rounding.
+    rng = np.random.default_rng(19)
+    cov = Dense(random_spd(50, rng))
+    Y = rng.standard_normal((30, 50))
+    expected = solve_triangular(cov.chol, Y.T, lower=True).T
+    monkeypatch.setattr(linalg, "_DTRTRS_SYMBOL", "no_such_dtrtrs_64_")
+    monkeypatch.setattr(linalg, "OPENBLAS", linalg.OpenBlas())
+    W = cov.whiten(Y)
+    assert W.flags.c_contiguous and rel_norm(W, expected) <= 1e-12
+    assert linalg.OPENBLAS.library is None
+    assert "no no_such_dtrtrs_64_" in linalg.OPENBLAS.reason
+
+
+def test_dense_whiten_with_a_zero_pivot_is_typed():
+    # LAPACK's nonzero info becomes a package error; a factor from
+    # np.linalg.cholesky never has a zero pivot, so one is planted.
+    if linalg.OPENBLAS.reason is not None:
+        pytest.skip(linalg.OPENBLAS.reason)
+    cov = Dense(np.eye(3))
+    cov.__dict__["chol"] = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(SingularMatrixError, match="info=2"):
+        cov.whiten(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("scale", [1e50, 1e100, 1e200])

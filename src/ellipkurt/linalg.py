@@ -25,10 +25,11 @@ the package drives, found by path on first use: it holds the library at
 one thread while concurrent callers run, and it runs LAPACK's triangular
 solves through ``ctypes``, which releases the interpreter lock: the AR(1)
 root's banded ``dtbtrs``, so threads sampling at once run their roots at
-once, and the dense whitening's ``dtrtrs``. Where numpy's library lacks a
-routine, the hold does nothing, each solve runs in numpy instead, equal to
-LAPACK's up to rounding, and ``OPENBLAS.reason`` says why. The package
-imports no scipy module.
+once, and the dense whitening's ``dtrtrs``. Where numpy's library lacks
+the thread-count routines or ``dtbtrs``, the hold does nothing, the root
+runs in numpy, equal to LAPACK's up to rounding, and ``OPENBLAS.reason``
+says why; a library that lacks only ``dtrtrs`` is still driven, and only
+the whitening solves in numpy. The package imports no scipy module.
 """
 
 from __future__ import annotations
@@ -511,7 +512,7 @@ class _Library:
     get: Callable[[], int]
     set: Callable[[int], None]
     dtbtrs: Callable[..., None]
-    dtrtrs: Callable[..., None]
+    dtrtrs: Callable[..., None] | None  # None where the library lacks it
 
 
 # Exported names in numpy's OpenBLAS, the ILP64 scipy-openblas64 build of
@@ -531,13 +532,14 @@ _DTRTRS_ARGTYPES = _DTBTRS_ARGTYPES[:4] + _DTBTRS_ARGTYPES[5:]
 
 def _find_openblas() -> tuple[_Library | None, str | None]:
     """numpy's bundled OpenBLAS, loaded, and the reason when there is none
-    that exports every routine the package calls (numpy built on another
-    BLAS, or on an older OpenBLAS build). Loading a library the process
-    already holds returns that same library, so its thread count is
-    numpy's."""
+    that exports the thread-count routines and ``dtbtrs`` (numpy built on
+    another BLAS, or on an older OpenBLAS build). ``dtrtrs``, which only
+    the dense whitening calls, is looked up on its own: without it the
+    library is still driven, and its ``dtrtrs`` is None. Loading a library
+    the process already holds returns that same library, so its thread
+    count is numpy's."""
     misses = []
-    symbols = (_THREADS_SYMBOL.format("get"), _THREADS_SYMBOL.format("set"), _DTBTRS_SYMBOL,
-               _DTRTRS_SYMBOL)
+    symbols = (_THREADS_SYMBOL.format("get"), _THREADS_SYMBOL.format("set"), _DTBTRS_SYMBOL)
     for path in sorted(glob.glob(f"{os.path.dirname(np.__file__)}.libs/*openblas*")):
         name = os.path.basename(path)
         try:
@@ -549,11 +551,13 @@ def _find_openblas() -> tuple[_Library | None, str | None]:
         if missing:
             misses.append(f"{name}: no {', '.join(missing)}")
             continue
-        get, set_, dtbtrs, dtrtrs = (getattr(lib, s) for s in symbols)
+        get, set_, dtbtrs = (getattr(lib, s) for s in symbols)
+        dtrtrs = getattr(lib, _DTRTRS_SYMBOL, None)
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         dtbtrs.argtypes, dtbtrs.restype = _DTBTRS_ARGTYPES, None
-        dtrtrs.argtypes, dtrtrs.restype = _DTRTRS_ARGTYPES, None
+        if dtrtrs is not None:
+            dtrtrs.argtypes, dtrtrs.restype = _DTRTRS_ARGTYPES, None
         return _Library(path, get, set_, dtbtrs, dtrtrs), None
     return None, "; ".join(misses) or "no OpenBLAS library bundled with numpy"
 
@@ -591,8 +595,9 @@ class OpenBlas:
       powers of two, as at rho = 0.5); elsewhere the two differ at the
       rounding level, since the BLAS kernel may fuse the multiply-add.
     - :meth:`solve_triangular` calls LAPACK ``dtrtrs`` the same way.
-      Without a library it runs ``np.linalg.solve`` on the factor, an LU
-      solve that agrees with ``dtrtrs`` up to rounding.
+      Without a library, or in one that lacks ``dtrtrs`` alone, it runs
+      ``np.linalg.solve`` on the factor, an LU solve that agrees with
+      ``dtrtrs`` up to rounding.
     """
 
     def __init__(self):
@@ -681,7 +686,7 @@ class OpenBlas:
         if X.ndim != 2 or L.shape != (X.shape[1],) * 2:
             raise ValueError(f"triangle {L.shape} does not fit right-hand sides {X.shape}")
         lib = self.library
-        if lib is None:
+        if lib is None or lib.dtrtrs is None:
             return np.ascontiguousarray(np.linalg.solve(L, X.T).T), 0
         n, p = X.shape
         i64, info, ld = ctypes.c_int64, ctypes.c_int64(0), ctypes.c_int64(max(p, 1))

@@ -5,10 +5,10 @@
 PARENT and CHANGE are two checkouts of the repository, for example two
 ``git archive`` exports. Pair k runs, in each checkout, that checkout's own
 ``BENCHMARK.json`` command (``perfbench/run.py``) with ``--trace 0`` once for
-each workload listed in CHANGE's ``BENCHMARK.json``, both sides at the same
-seed and run length; the parent runs first in even pairs and the change
-first in odd ones, so neither side always runs on a machine the other has
-just warmed. Nothing is imported from either checkout: each run is a fresh
+each workload listed in CHANGE's ``BENCHMARK.json``, both sides at seed
+1 + k and at that file's ``run_seconds``; the parent runs first in even
+pairs and the change first in odd ones, so neither side always runs on a
+machine the other has just warmed. Nothing is imported from either checkout: each run is a fresh
 process.
 
 The JSON written to ``--out`` holds, per workload: each side's provenance
@@ -40,10 +40,6 @@ def parse_args(argv=None):
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    parser.add_argument("--seed", type=int, default=1,
-                        help="seed of pair 0; pair k runs at seed + k (default 1)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length of each run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -104,7 +100,7 @@ def main(argv=None) -> int:
     bench = {side: json.loads((path / "BENCHMARK.json").read_text())
              for side, path in zip(SIDES, (args.parent, args.change))}
     spec = bench["change"]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = {w: {side: [] for side in SIDES} for w in workloads}
@@ -114,11 +110,11 @@ def main(argv=None) -> int:
         for workload in workloads:
             for side in order:
                 runs[workload][side].append(run_once(
-                    checkouts[side], bench[side]["command"], workload, args.seed + k, seconds))
+                    checkouts[side], bench[side]["command"], workload, 1 + k, seconds))
         print(f"pair {k + 1}/{args.pairs} done after {time.time() - started:.0f} s",
               file=sys.stderr)
     record = {
-        "pairs": args.pairs, "seed": args.seed, "seconds": seconds,
+        "pairs": args.pairs, "seeds": list(range(1, args.pairs + 1)), "seconds": seconds,
         "workloads": {w: summarize(runs[w], spec["end_to_end"]) for w in workloads},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -1,14 +1,15 @@
 """Compare two checkouts on the benchmark in alternated pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json [--pairs 10]
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
 PARENT and CHANGE are two checkouts of the repository, for example two
-``git archive`` exports. Pair k runs, in each checkout, that checkout's own
-``BENCHMARK.json`` command (``perfbench/run.py``) with ``--trace 0`` once for
-each workload listed in CHANGE's ``BENCHMARK.json``, both sides at seed
-1 + k and at that file's ``run_seconds``; the parent runs first in even
-pairs and the change first in odd ones, so neither side always runs on a
-machine the other has just warmed. Nothing is imported from either checkout: each run is a fresh
+``git archive`` exports. Each of 10 pairs, pair k, runs in each checkout
+that checkout's own ``BENCHMARK.json`` command (``perfbench/run.py``) with
+``--trace 0`` once for each workload listed in CHANGE's
+``BENCHMARK.json``, both sides at seed 1 + k and at that file's
+``run_seconds``; the parent runs first in even pairs and the change first
+in odd ones, so neither side always runs on a machine the other has just
+warmed. Nothing is imported from either checkout: each run is a fresh
 process.
 
 The JSON written to ``--out`` holds, per workload: each side's provenance
@@ -32,6 +33,7 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def parse_args(argv=None):
@@ -39,11 +41,7 @@ def parse_args(argv=None):
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
-    return args
+    return parser.parse_args(argv)
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -105,16 +103,16 @@ def main(argv=None) -> int:
     checkouts = dict(zip(SIDES, (args.parent, args.change)))
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     started = time.time()
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
                 runs[workload][side].append(run_once(
                     checkouts[side], bench[side]["command"], workload, 1 + k, seconds))
-        print(f"pair {k + 1}/{args.pairs} done after {time.time() - started:.0f} s",
+        print(f"pair {k + 1}/{PAIRS} done after {time.time() - started:.0f} s",
               file=sys.stderr)
     record = {
-        "pairs": args.pairs, "seeds": list(range(1, args.pairs + 1)), "seconds": seconds,
+        "pairs": PAIRS, "seeds": list(range(1, PAIRS + 1)), "seconds": seconds,
         "workloads": {w: summarize(runs[w], spec["end_to_end"]) for w in workloads},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -180,34 +180,41 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+_PRESETS = {"table1-desk": preset_table1_desk, "table2-desk": preset_table2_desk}
+
+# The simulate flags that shape an inline --family grid, by argparse dest.
+_FAMILY_FLAGS = {"p": "--p", "n": "--n", "alpha": "--alpha", "ci_method": "--ci-method"}
+
+
 def _configs_from_args(args) -> list[ExperimentConfig]:
-    """The configs a simulate call runs. Every config, ``--reps`` included,
-    goes through ``ExperimentConfig`` validation, and ``--workers`` through
-    the harness check; a value they reject is a usage error
-    (:class:`SchemaError`)."""
+    """The configs a simulate call runs: from ``--config``, ``--preset`` or
+    ``--family``, of which argparse lets at most one through, with ``--reps``
+    and ``--seed`` overriding every config. ``--p``, ``--n``, ``--alpha``
+    or ``--ci-method`` without ``--family`` is refused rather than ignored.
+    Every config goes through ``ExperimentConfig`` validation, and
+    ``--workers`` through the harness check; a value they reject is a usage
+    error (:class:`SchemaError`)."""
+    given = {dest: getattr(args, dest) for dest in _FAMILY_FLAGS
+             if getattr(args, dest) is not None}
+    if given and args.family is None:
+        flags = ", ".join(_FAMILY_FLAGS[dest] for dest in given)
+        raise SchemaError(f"{flags} apply only to a --family grid")
     try:
         check_workers(args.workers)
         if args.config is not None:
             configs = [load_config(args.config)]
-        elif args.preset == "table1-desk":
-            configs = preset_table1_desk(seed=args.seed)
-        elif args.preset == "table2-desk":
-            configs = preset_table2_desk(seed=args.seed)
+        elif args.preset is not None:
+            configs = _PRESETS[args.preset]()
         elif args.family is not None:
-            configs = [
-                ExperimentConfig(
-                    family=args.family,
-                    p_list=tuple(args.p) if args.p else (100,),
-                    n=args.n,
-                    alpha=args.alpha,
-                    seed=args.seed,
-                    ci_methods=tuple(args.ci_method or ()),
-                )
-            ]
+            configs = [ExperimentConfig(family=args.family,
+                                        p_list=tuple(given.pop("p", (100,))),
+                                        ci_methods=tuple(given.pop("ci_method", ())),
+                                        **given)]
         else:
             raise SchemaError("simulate needs --config, --preset, or --family")
-        if args.reps is not None:
-            configs = [dataclasses.replace(cfg, reps=args.reps) for cfg in configs]
+        overrides = {name: getattr(args, name) for name in ("reps", "seed")
+                     if getattr(args, name) is not None}
+        configs = [dataclasses.replace(cfg, **overrides) for cfg in configs]
     except InvalidParameterError as exc:
         raise SchemaError(f"invalid simulate options: {exc}") from exc
     return configs
@@ -232,7 +239,8 @@ def cmd_simulate(args) -> int:
     if args.dry_run:
         print("planned grid (nothing will be written):")
         for cfg in configs:
-            kind = "coverage" if cfg.ci_methods else "estimation"
+            kind = "+".join(name for name, wanted in (("estimation", cfg.methods),
+                                                      ("coverage", cfg.ci_methods)) if wanted)
             print(
                 f"  {kind}: family={cfg.family_name} p_list={list(cfg.p_list)} "
                 f"n={cfg.n} reps={cfg.reps} alpha={cfg.alpha} seed={cfg.seed} "
@@ -299,24 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="run simulation experiments")
-    p_sim.add_argument("--config", default=None, help="JSON experiment config")
-    p_sim.add_argument("--preset", choices=("table1-desk", "table2-desk"), default=None,
-                       help="built-in desk-scale experiment grid")
-    p_sim.add_argument("--family", choices=FAMILY_NAMES, default=None)
-    p_sim.add_argument("--p", type=int, action="append", help="dimension (repeatable)")
-    p_sim.add_argument("--n", type=int, default=100, help="sample size")
+    source = p_sim.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None, help="JSON experiment config")
+    source.add_argument("--preset", choices=tuple(_PRESETS), default=None,
+                        help="built-in desk-scale experiment grid")
+    source.add_argument("--family", choices=FAMILY_NAMES, default=None,
+                        help="inline grid of this family, shaped by --p, --n, --alpha "
+                             "and --ci-method")
+    p_sim.add_argument("--p", type=int, action="append",
+                       help="dimension (repeatable; default 100)")
+    p_sim.add_argument("--n", type=int, default=None, help="sample size (default 100)")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
+    p_sim.add_argument("--alpha", type=float, default=None,
+                       help="significance level (default 0.05)")
     p_sim.add_argument("--ci-method", action="append",
                        choices=CI_NAMES,
                        help="run a coverage experiment with this interval (repeatable)")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"master seed (default {DEFAULT_SEED})")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help=f"override master seed (default: the config's, else {DEFAULT_SEED})")
     p_sim.add_argument("--out-dir", default=".", help="directory for output CSVs")
     p_sim.add_argument("--workers", type=int, default=usable_cores(),
                        help="replication worker threads; OpenBLAS is held at 1 thread "
                             "while they run (default: the usable cores, %(default)s here)")
-    p_sim.add_argument("--dry-run", action="store_true", help="print the grid, write nothing")
+    p_sim.add_argument("--dry-run", action="store_true",
+                       help="print each config with the studies it runs, write nothing")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = sub.add_parser("validate", help="run Monte-Carlo and differential checks")

@@ -2,7 +2,12 @@
 
 Reproduces the estimation study (point-estimate means and SDs) and the
 coverage study (empirical coverage probability and average interval width)
-at configurable desk scale, writing CSV summaries.
+at configurable desk scale, writing CSV summaries. Both studies run on one
+replication path (:func:`_replication`): replication r of a cell (config,
+p) draws its sample once, builds one centered Gram summary and one
+theta_hat, and hands them to every estimator and interval the config asks
+for, so a config with both ``methods`` and ``ci_methods`` draws each
+replication once and gives rows for both studies.
 
 Reproducibility contract
 ------------------------
@@ -135,6 +140,8 @@ class ExperimentConfig:
         z_quantile(self.alpha)  # the intervals' own check: 0 < alpha < 1
         if self.n < 4:
             raise InvalidParameterError(f"n must be >= 4, got {self.n}")
+        if not (self.methods or self.ci_methods):
+            raise InvalidParameterError("methods and ci_methods are both empty: nothing to run")
         unknown = [m for m in self.methods if m not in ESTIMATOR_NAMES]
         if unknown:
             raise InvalidParameterError(
@@ -284,15 +291,16 @@ def _cell_spec(cfg: ExperimentConfig, p: int) -> EllipticalSpec:
 class _Cell:
     """One cell (config, p) of an experiment: ``run(rep)`` runs replication
     ``rep``, and ``summarize`` folds the results of replications
-    0..reps-1, in that order, into the cell's summary rows."""
+    0..reps-1, in that order, into the cell's estimation rows and coverage
+    rows."""
 
     reps: int
     run: Callable[[int], dict]
-    summarize: Callable[[list[dict]], list[SummaryRow]]
+    summarize: Callable[[list[dict]], tuple[list[SummaryRow], list[SummaryRow]]]
 
 
-def _run_cells(cells: list[_Cell], workers: int) -> list[list[SummaryRow]]:
-    """The summary rows of every cell, cells in order, from one
+def _run_cells(cells: list[_Cell], workers: int) -> list:
+    """The summaries of every cell, cells in order, from one
     :func:`_thread_map` over all of their replications in replication-major
     order, run under one OpenBLAS hold. Fresh threads per cell took fresh
     malloc arenas and made peak RSS vary by up to 4 MB from run to run."""
@@ -308,33 +316,54 @@ def _run_cells(cells: list[_Cell], workers: int) -> list[list[SummaryRow]]:
     return [cell.summarize(res) for cell, res in zip(cells, per_cell)]
 
 
-def _estimation_rep(cfg, p, spec, fam_code):
-    def run(rep: int) -> dict[str, float | None]:
+def _or_none(fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or None where it raises an
+    :class:`EllipkurtError`: a failed replication step."""
+    try:
+        return fn(*args, **kwargs)
+    except EllipkurtError:
+        return None
+
+
+def _replication(cfg: ExperimentConfig, p: int, spec: EllipticalSpec,
+                 fam_code: int) -> Callable[[int], dict]:
+    """Replication ``rep`` of cell (cfg, p) as a function of ``rep``.
+
+    It draws the sample once and runs each statistic once: every estimator
+    of ``cfg.methods`` and every interval of ``cfg.ci_methods`` reads the
+    same sample, the same centered Gram summary and the same theta_hat.
+    The result maps each estimator to its value and each interval to
+    (theta_hat, lower, upper), with None for one that failed. A failed
+    draw fails everything; a failed Gram summary fails all but the oracle,
+    which reads the raw sample first; a failed theta_hat fails every
+    interval; a failed case-2 plug-in fails only ``case2``.
+    """
+    need_gram = bool(cfg.ci_methods) or any(m != "oracle" for m in cfg.methods)
+    need_theta = "theta_hat" in cfg.methods or bool(cfg.ci_methods)
+
+    def run(rep: int) -> dict:
         rng = replication_rng(cfg.seed, fam_code, p, rep)
-        try:
-            X = sample_data(spec, cfg.n, rng)
-        except EllipkurtError:
-            return {m: None for m in cfg.methods}
-        out: dict[str, float | None] = dict.fromkeys(cfg.methods)  # None: failed
-        # The oracle reads X itself, so it runs first, and still runs when
-        # the centered Gram summary fails. The summary then centers X in
-        # place, as nothing reads the raw sample after it, and the other
-        # estimators read the summary.
-        if "oracle" in out:
-            try:
-                out["oracle"] = oracle_theta(X, spec.mu, spec.sigma)
-            except EllipkurtError:
-                pass
-        gram_methods = [m for m in cfg.methods if m != "oracle"]
-        try:
-            cg = centered_gram(X, overwrite_x=True) if gram_methods else None
-        except EllipkurtError:
+        out = dict.fromkeys((*cfg.methods, *cfg.ci_methods))  # None: failed
+        X = _or_none(sample_data, spec, cfg.n, rng)
+        if X is None:
             return out
-        for m in gram_methods:
-            try:
-                out[m] = theta_hat(ustats_fast(cg)).theta_hat if m == "theta_hat" else wl_theta(cg)
-            except EllipkurtError:
-                pass
+        if "oracle" in cfg.methods:
+            out["oracle"] = _or_none(oracle_theta, X, spec.mu, spec.sigma)
+        # Nothing reads the raw sample after the summary, which centers it in place.
+        cg = _or_none(centered_gram, X, overwrite_x=True) if need_gram else None
+        if cg is None:
+            return out
+        est = _or_none(lambda: theta_hat(ustats_fast(cg))) if need_theta else None
+        if "theta_hat" in cfg.methods and est is not None:
+            out["theta_hat"] = est.theta_hat
+        if "wl_plugin" in cfg.methods:
+            out["wl_plugin"] = _or_none(wl_theta, cg)
+        if est is None:
+            return out
+        plugin = _or_none(plugin_moments_case2, cg) if "case2" in cfg.ci_methods else None
+        for m in cfg.ci_methods:
+            ci = _or_none(confidence_interval, est, m, cfg.alpha, plugin=plugin)
+            out[m] = None if ci is None else (est.theta_hat, ci.lower, ci.upper)
         return out
 
     return run
@@ -362,43 +391,6 @@ def _estimation_rows(cfg: ExperimentConfig, p: int, results: list[dict]) -> list
             )
         )
     return rows
-
-
-def _estimation_cells(cfg: ExperimentConfig) -> list[_Cell]:
-    fam_code = _family_code(cfg)
-    return [_Cell(cfg.reps, _estimation_rep(cfg, p, _cell_spec(cfg, p), fam_code),
-                  partial(_estimation_rows, cfg, p))
-            for p in cfg.p_list]
-
-
-def _coverage_rep(cfg, p, spec, fam_code):
-    need_plugin = "case2" in cfg.ci_methods
-
-    def run(rep: int) -> dict[str, tuple[float, float, float] | None]:
-        """Per method: (theta_hat, lower, upper) or None on failure."""
-        rng = replication_rng(cfg.seed, fam_code, p, rep)
-        try:
-            # The summary centers the sample in place: nothing reads X after it.
-            cg = centered_gram(sample_data(spec, cfg.n, rng), overwrite_x=True)
-            est = theta_hat(ustats_fast(cg))
-        except EllipkurtError:
-            return {m: None for m in cfg.ci_methods}
-        plugin = None
-        if need_plugin:
-            try:
-                plugin = plugin_moments_case2(cg)
-            except EllipkurtError:
-                plugin = None
-        out = {}
-        for m in cfg.ci_methods:
-            try:
-                ci = confidence_interval(est, m, cfg.alpha, plugin=plugin)
-                out[m] = (est.theta_hat, ci.lower, ci.upper)
-            except EllipkurtError:
-                out[m] = None
-        return out
-
-    return run
 
 
 def _coverage_rows(cfg: ExperimentConfig, p: int, theta0: float,
@@ -431,14 +423,22 @@ def _coverage_rows(cfg: ExperimentConfig, p: int, theta0: float,
     return rows
 
 
-def _coverage_cells(cfg: ExperimentConfig) -> list[_Cell]:
+def _cells(cfg: ExperimentConfig) -> list[_Cell]:
+    """One cell per dimension of ``cfg``; each folds its replications into
+    the estimation rows and the coverage rows of that dimension."""
     fam_code = _family_code(cfg)
     cells = []
     for p in cfg.p_list:
         spec = _cell_spec(cfg, p)
-        cells.append(_Cell(cfg.reps, _coverage_rep(cfg, p, spec, fam_code),
-                           partial(_coverage_rows, cfg, p, spec.xi.theta())))
+        theta0 = spec.xi.theta() if cfg.ci_methods else None
+        cells.append(_Cell(cfg.reps, _replication(cfg, p, spec, fam_code),
+                           partial(_cell_rows, cfg, p, theta0)))
     return cells
+
+
+def _cell_rows(cfg: ExperimentConfig, p: int, theta0: float | None,
+               results: list[dict]) -> tuple[list[SummaryRow], list[SummaryRow]]:
+    return _estimation_rows(cfg, p, results), _coverage_rows(cfg, p, theta0, results)
 
 
 def run_experiments(
@@ -448,14 +448,8 @@ def run_experiments(
     coverage rows of every config with ``ci_methods``, each in config and
     then p order, from one pool of ``min(workers, replications)`` threads
     over all of their cells."""
-    est = [c for cfg in configs if cfg.methods for c in _estimation_cells(cfg)]
-    cov = [c for cfg in configs if cfg.ci_methods for c in _coverage_cells(cfg)]
-    rows = _run_cells(est + cov, workers)
-    return _concat(rows[:len(est)]), _concat(rows[len(est):])
-
-
-def _concat(row_lists: list[list[SummaryRow]]) -> list[SummaryRow]:
-    return [row for rows in row_lists for row in rows]
+    rows = _run_cells([cell for cfg in configs for cell in _cells(cfg)], workers)
+    return [r for est, _ in rows for r in est], [r for _, cov in rows for r in cov]
 
 
 def _fmt(x: float | None) -> str:

@@ -233,14 +233,22 @@ def test_estimate_insufficient_sample_exit_1(tmp_path, capsys):
 
 
 def test_simulate_dry_run_writes_nothing(tmp_path, capsys):
+    # Each config is listed with every study it writes: the three estimators
+    # by default, plus coverage when an interval is asked for.
     out_dir = tmp_path / "results"
-    code = main([
-        "simulate", "--family", "normal", "--p", "10", "--n", "20",
-        "--reps", "3", "--seed", "7", "--out-dir", str(out_dir), "--dry-run",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "planned grid" in out
+    args = ["simulate", "--family", "normal", "--p", "10", "--n", "20",
+            "--reps", "3", "--seed", "7", "--out-dir", str(out_dir), "--dry-run"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "planned grid (nothing will be written):"
+    assert lines[1].startswith("  estimation: family=normal p_list=[10] n=20 reps=3")
+    assert main(args + ["--ci-method", "case1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  estimation+coverage: family=normal")
+    assert lines[1].endswith("ci_methods=['case1']")
+    assert main(["simulate", "--preset", "table2-desk", "--dry-run"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("  coverage: ") for line in lines[1:])
     assert not out_dir.exists()
 
 
@@ -315,6 +323,12 @@ def refused_config_error(tmp_path, capsys, bad, dry_run):
 def test_simulate_config_bad_rho_exit_2(tmp_path, capsys, dry_run):
     # An invalid AR(1) coefficient is a config error before any cell runs.
     assert "rho" in refused_config_error(tmp_path, capsys, {"rho": 1.5}, dry_run)
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_simulate_config_with_nothing_to_run_exit_2(tmp_path, capsys, dry_run):
+    # No estimator and no interval: refused, not a silent run that writes nothing.
+    assert "both empty" in refused_config_error(tmp_path, capsys, {"methods": []}, dry_run)
 
 
 @pytest.mark.parametrize("dry_run", [True, False])
@@ -427,6 +441,59 @@ def test_simulate_reports_why_blas_is_not_limited(tmp_path, capsys, fake_blas):
 
 def test_simulate_without_source_exit_2(capsys):
     assert main(["simulate"]) == 2
+
+
+@pytest.mark.parametrize("sources", [
+    ["--preset", "table1-desk", "--family", "kotz"],
+    ["--config", "c.json", "--preset", "table2-desk"],
+    ["--config", "c.json", "--family", "normal"],
+], ids=["preset-family", "config-preset", "config-family"])
+def test_simulate_takes_one_source(tmp_path, capsys, sources):
+    # A second grid source is a usage error, not silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *sources, "--out-dir", str(tmp_path / "res"), "--dry-run"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("source", [["--preset", "table1-desk"], ["--config", "cfg.json"]],
+                         ids=["preset", "config"])
+@pytest.mark.parametrize("flags", [["--p", "7"], ["--n", "9"], ["--alpha", "0.1"],
+                                   ["--ci-method", "case1"], ["--p", "7", "--n", "9"]])
+def test_simulate_refuses_family_flags_without_family(tmp_path, capsys, source, flags):
+    # --p, --n, --alpha and --ci-method shape only an inline --family grid.
+    (tmp_path / "cfg.json").write_text(json.dumps({"family": "normal", "p_list": [8]}))
+    source = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in source]
+    out_dir = tmp_path / "res"
+    assert main(["simulate", *source, *flags, "--out-dir", str(out_dir), "--dry-run"]) == 2
+    captured = capsys.readouterr()
+    named = [flag for flag in flags if flag.startswith("--")]
+    assert captured.err == f"error: {', '.join(named)} apply only to a --family grid\n"
+    assert captured.out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("source, default_seed", [
+    (["--preset", "table1-desk"], harness.DEFAULT_SEED),
+    (["--config", "cfg.json"], 11),
+    (["--family", "laplace"], harness.DEFAULT_SEED),
+], ids=["preset", "config", "family"])
+def test_simulate_seed_overrides_every_source(tmp_path, capsys, source, default_seed):
+    # --seed, like --reps, overrides the seed of every config of any source;
+    # without it a config keeps its own, and the others take the default.
+    (tmp_path / "cfg.json").write_text(json.dumps({"family": "normal", "p_list": [8],
+                                                   "seed": 11}))
+    source = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in source]
+
+    def planned_seeds(*extra):
+        assert main(["simulate", *source, *extra, "--dry-run"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return {line.split(" seed=")[1].split()[0] for line in lines}
+
+    assert planned_seeds() == {str(default_seed)}
+    assert planned_seeds("--seed", "5") == {"5"}
+    assert main(["simulate", *source, "--seed", "-1", "--dry-run"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_validate_unknown_suite_is_usage_error(capsys):

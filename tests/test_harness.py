@@ -25,12 +25,12 @@ from ellipkurt import (
 )
 from ellipkurt import harness, linalg
 from ellipkurt.baselines import oracle_theta, wl_theta
+from ellipkurt.errors import DegenerateDataError
 from ellipkurt.harness import (
     _Cell,
     _cell_spec,
-    _coverage_rep,
-    _estimation_rep,
     _family_code,
+    _replication,
     _run_cells,
     _thread_map,
 )
@@ -84,6 +84,8 @@ def test_config_validation():
         ExperimentConfig(family="normal", p_list=(10,), ci_methods=("bogus",))
     with pytest.raises(InvalidParameterError, match="rho"):
         ExperimentConfig(family="normal", p_list=(10,), rho=1.5)
+    with pytest.raises(InvalidParameterError, match="both empty"):
+        ExperimentConfig(family="normal", p_list=(10,), methods=())
     # Integers only (bools are not), and a shipped family name or a callable.
     for bad in (dict(n=20.5), dict(reps=True), dict(seed="abc"), dict(p_list=(10, 10.7))):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
@@ -132,12 +134,12 @@ def test_estimation_deterministic_across_workers(tmp_path):
 def test_replication_results_independent_of_total_reps():
     # Stream derivation depends only on (seed, family, p, rep); the same
     # replication index gives identical results under different rep counts.
-    cfg5 = small_config(reps=5, methods=("theta_hat", "wl_plugin"))
-    cfg8 = small_config(reps=8, methods=("theta_hat", "wl_plugin"))
+    cfg5 = small_config(reps=5, methods=("theta_hat", "wl_plugin"), ci_methods=("case2",))
+    cfg8 = small_config(reps=8, methods=("theta_hat", "wl_plugin"), ci_methods=("case2",))
     p = 10
     code = _family_code(cfg5)
-    run5 = _estimation_rep(cfg5, p, _cell_spec(cfg5, p), code)
-    run8 = _estimation_rep(cfg8, p, _cell_spec(cfg8, p), code)
+    run5 = _replication(cfg5, p, _cell_spec(cfg5, p), code)
+    run8 = _replication(cfg8, p, _cell_spec(cfg8, p), code)
     for rep in range(5):
         assert run5(rep) == run8(rep)
 
@@ -283,9 +285,31 @@ def test_mean_aggregation_matches_fsum():
     cfg = small_config(reps=5, methods=("theta_hat",), p_list=(10,))
     rows = run_experiments([cfg])[0]
     code = _family_code(cfg)
-    run = _estimation_rep(cfg, 10, _cell_spec(cfg, 10), code)
+    run = _replication(cfg, 10, _cell_spec(cfg, 10), code)
     values = [run(r)["theta_hat"] for r in range(5)]
     assert rows[0].mean == pytest.approx(math.fsum(values) / 5, abs=0.0)
+
+
+@pytest.mark.parametrize("step, survivors", [
+    ("sample_data", set()),
+    ("centered_gram", {"oracle"}),
+    ("theta_hat", {"oracle", "wl_plugin"}),
+    ("wl_theta", {"oracle", "theta_hat", "example1", "case1", "case2"}),
+    ("plugin_moments_case2", {"oracle", "theta_hat", "wl_plugin", "example1", "case1"}),
+])
+def test_a_failed_step_fails_only_what_reads_it(monkeypatch, step, survivors):
+    # A failed draw fails everything; a failed Gram summary all but the
+    # oracle, which reads the raw sample; a failed theta_hat every interval;
+    # a failed wl_theta only wl_plugin; a failed case-2 plug-in only case2.
+    def failing(*args, **kwargs):
+        raise DegenerateDataError(f"{step} failed")
+
+    cfg = small_config(reps=1, p_list=(10,), ci_methods=("example1", "case1", "case2"))
+    run = _replication(cfg, 10, _cell_spec(cfg, 10), _family_code(cfg))
+    monkeypatch.setattr(harness, step, failing)
+    out = run(0)
+    assert {m for m, v in out.items() if v is not None} == survivors
+    assert set(out) == {*cfg.methods, *cfg.ci_methods}
 
 
 def test_ar1_cells_use_no_dense_factorization(monkeypatch):
@@ -310,31 +334,61 @@ def test_ar1_cells_use_no_dense_factorization(monkeypatch):
     assert all(r.reps_used > 0 for r in run_experiments([cfg])[1])
 
 
-def test_one_gram_summary_per_replication(gram_builds):
-    # Every statistic of a replication reads the one summary built from its
-    # sample: theta_hat and wl_plugin in the estimation loop, theta_hat and
-    # the case-2 plug-ins in the coverage loop. Replications run rep-major.
-    cfg = small_config(reps=3)
-    run_experiments([cfg])
-    assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
-    gram_builds.clear()
-    cfg = small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2"))
-    run_experiments([cfg])
-    assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
+def record_calls(monkeypatch, module, name):
+    """A list that grows by one item per call to ``module.name``."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
-@pytest.mark.parametrize("make_rep, cfg, bound", [
-    (_estimation_rep, dict(), 2.1),
-    (_coverage_rep, dict(methods=(), ci_methods=("t", "case1", "case2")), 1.5),
-], ids=["estimation", "coverage"])
-def test_replication_peak_memory(make_rep, cfg, bound):
+def test_one_gram_summary_per_replication(gram_builds, monkeypatch):
+    # A replication draws one sample, builds one summary from it and
+    # computes one theta_hat, which every statistic reads: the estimators,
+    # the case-2 plug-ins and the intervals, in a config that asks for
+    # estimators, intervals or both. Replications run rep-major.
+    samples = record_calls(monkeypatch, harness, "sample_data")
+    thetas = record_calls(monkeypatch, harness, "theta_hat")
+    for cfg in (small_config(reps=3),
+                small_config(reps=3, methods=(), ci_methods=("example1", "case1", "case2")),
+                small_config(reps=3, ci_methods=("example1", "case1", "case2"))):
+        for calls in (gram_builds, samples, thetas):
+            calls.clear()
+        run_experiments([cfg])
+        assert gram_builds == [(cfg.n, p) for _ in range(cfg.reps) for p in cfg.p_list]
+        assert len(samples) == len(thetas) == cfg.reps * len(cfg.p_list)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_config_rows_are_those_of_its_halves(workers):
+    # One replication serves both studies: a config with estimators and
+    # intervals gives, bit for bit, the rows of its estimation-only and
+    # coverage-only halves.
+    ci = ("example1", "case1", "case2")
+    mixed = run_experiments([small_config(ci_methods=ci)], workers=workers)
+    est = run_experiments([small_config()], workers=workers)[0]
+    cov = run_experiments([small_config(methods=(), ci_methods=ci)], workers=workers)[1]
+    assert mixed == (est, cov)
+    assert len(est) == 2 * 3 and len(cov) == 2 * 3
+
+
+@pytest.mark.parametrize("cfg, bound", [
+    (dict(), 2.1),
+    (dict(methods=(), ci_methods=("t", "case1", "case2")), 1.5),
+    (dict(ci_methods=("t", "case1", "case2")), 2.1),
+], ids=["estimation", "coverage", "mixed"])
+def test_replication_peak_memory(cfg, bound):
     # A replication at n=100, p=1600 holds one n x p array for the sample,
-    # which is centered in place, plus, for estimation, one n x (p - 1)
-    # difference array in the oracle. The peak is in units of one n x p
-    # float64 array; a warm-up replication runs first.
+    # which is centered in place, plus, with the oracle, one n x (p - 1)
+    # difference array. The peak is in units of one n x p float64 array; a
+    # warm-up replication runs first.
     n, p = 100, 1600
     cfg = ExperimentConfig(family="t", p_list=(p,), n=n, reps=2, seed=11, **cfg)
-    run = make_rep(cfg, p, _cell_spec(cfg, p), _family_code(cfg))
+    run = _replication(cfg, p, _cell_spec(cfg, p), _family_code(cfg))
     run(0)
     tracemalloc.start()
     try:

@@ -25,11 +25,13 @@ def oracle_theta(X, mu, sigma) -> float:
     ``sigma`` is a covariance object (:class:`ellipkurt.linalg.AR1` or
     :class:`ellipkurt.linalg.Dense`) or a dense matrix. The Mahalanobis
     norms are squared norms of the whitened rows L^{-1} (X_i - mu), never
-    an explicit inverse (``whitened_sq_norms``): O(n p) from one
-    difference array for AR(1), a triangular solve on the Cholesky factor
-    for a dense matrix. A covariance object keeps its factor, so passing
-    the same one each replication factors it once. X is left as it is.
-    Raises :class:`InvalidParameterError` for data that
+    an explicit inverse (``whitened_sq_norms``): O(n p) for AR(1), from
+    differences of neighbouring columns formed in row blocks of about 2^15
+    entries, so the working set stays near the sample's own size, and a
+    triangular solve on the Cholesky factor for a dense matrix. A
+    covariance object keeps its factor, so passing the same one each
+    replication factors it once. X is left as it is. Raises
+    :class:`InvalidParameterError` for data that
     :func:`ellipkurt.linalg.as_float_matrix` rejects (not a nonempty real
     matrix) and when the result is not finite (non-finite data, or a scale
     whose fourth power overflows); finite data get no extra pass to check

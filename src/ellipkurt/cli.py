@@ -126,8 +126,8 @@ def cmd_estimate(args) -> int:
         z_quantile(args.alpha)  # the intervals' own check, before the input is read
     except InvalidParameterError as exc:
         raise SchemaError(f"invalid estimate options: {exc}") from exc
-    X = read_csv_matrix(args.input)
-    cg = centered_gram(X)
+    # The parsed matrix is read only here, so the summary centers it in place.
+    cg = centered_gram(read_csv_matrix(args.input), overwrite_x=True)
     est = theta_hat(ustats_fast(cg))
     u = est.ustats
     print(f"n        {u.n}")

@@ -108,7 +108,7 @@ class ExperimentConfig:
     ``family`` is a name in :data:`ellipkurt.models.FAMILY_NAMES` or a
     callable mapping a dimension p to a squared-radius law (used for
     custom laws in tests). ``n``, ``reps``, ``seed`` and every p must be
-    integers.
+    integers, and no p, estimator or interval may be listed twice.
     """
 
     family: FamilySpec
@@ -152,6 +152,11 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"unknown ci methods {unknown}; expected subset of {CI_NAMES}"
             )
+        for name in ("p_list", "methods", "ci_methods"):
+            values = getattr(self, name)
+            for i, v in enumerate(values):
+                if v in values[:i]:  # a copy would run and be written twice
+                    raise InvalidParameterError(f"{name} lists {v!r} more than once")
         for p in self.p_list:
             _check_ar1(p, self.rho)
 

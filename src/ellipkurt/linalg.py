@@ -106,6 +106,10 @@ def toeplitz_ar1(p: int, rho: float) -> np.ndarray:
     return float(rho) ** np.abs(np.subtract.outer(idx, idx)).astype(float)
 
 
+# Entries per row block of AR1.whitened_sq_norms's difference buffer (256 KB).
+_BLOCK_ELEMENTS = 1 << 15
+
+
 @dataclass(frozen=True)
 class AR1:
     """The AR(1) covariance rho**|j - k| of :func:`toeplitz_ar1`, never formed.
@@ -115,8 +119,9 @@ class AR1:
     s = sqrt(1 - rho^2), so L^{-1} is lower bidiagonal. ``scaled_root``
     runs the recursion as an in-place triangular-banded solve with no
     factorization, and ``apply_root`` runs it on a copy; ``whiten`` and
-    ``whitened_sq_norms`` apply the bidiagonal inverse. Each costs O(n p)
-    for n rows.
+    ``whitened_sq_norms`` apply the bidiagonal inverse, the latter a block
+    of rows at a time, with no n x p temporary. Each costs O(n p) for n
+    rows.
     """
 
     p: int
@@ -176,14 +181,35 @@ class AR1:
 
     def whitened_sq_norms(self, Y) -> np.ndarray:
         """||L^{-1} y||^2 per row y of Y, as
-        y_0^2 + ||y_{1:} - rho y_{:-1}||^2 / (1 - rho^2): one n x (p - 1)
-        difference array and no division pass. Y is left as it is."""
+        y_0^2 + ||y_{1:} - rho y_{:-1}||^2 / (1 - rho^2), with no division
+        pass. Y is left as it is.
+
+        The differences y_{1:} - rho y_{:-1} are formed a block of rows at a
+        time in one reused buffer, so the working set stays near Y's own
+        size. The rows are split evenly into the nearest whole number, at
+        least one, of blocks of ``_BLOCK_ELEMENTS`` entries: at n = 100, p
+        up to 492 is one block and p = 1600 is five. The buffer is laid out
+        as numpy lays out the whole difference array and holds at least two
+        rows, so a row of it is contiguous exactly when a row of that array
+        is: numpy sums contiguous and strided rows in different orders. So
+        every norm is bit for bit that of one whole array.
+        """
         Y = np.asarray(Y, dtype=float)
         rho = float(self.rho)
-        D = np.multiply(Y[:, :-1], rho)
-        np.subtract(Y[:, 1:], D, out=D)
+        n, p = Y.shape
+        lag, lead = Y[:, :-1], Y[:, 1:]
+        blocks = max(1, round(n * (p - 1) / _BLOCK_ELEMENTS))
+        rows = max(2, -(-n // blocks))
+        D = np.empty_like(lag[:rows])
+        ss = np.empty(n)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            d = D[:stop - start]
+            np.multiply(lag[start:stop], rho, out=d)
+            np.subtract(lead[start:stop], d, out=d)
+            np.einsum("ij,ij->i", d, d, out=ss[start:stop])
         head = Y[:, 0]
-        return head * head + np.einsum("ij,ij->i", D, D) / (1.0 - rho * rho)
+        return head * head + ss / (1.0 - rho * rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +327,9 @@ class CenteredGram:
     two Gram matrices, Xc' Xc (p x p) when p < n and Xc Xc' (n x n)
     otherwise; both share their nonzero eigenvalues, so every trace power
     of M is that of either side. T = sum g_i = tr M, t = sum g_i^2 and
-    W = ||M||_F^2 are exact sums (:func:`exact_sum`). ``x_max`` = max |X|
+    W = ||M||_F^2 are exact sums (:func:`exact_sum`); W is summed over the
+    diagonal and the doubled strict triangle of the symmetric M, the same
+    terms as M * M in half the space. ``x_max`` = max |X|
     is the absolute scale of the raw data, offset included, for
     degeneracy floors relative to it.
     """
@@ -496,8 +524,15 @@ def centered_gram(X, overwrite_x: bool = False) -> CenteredGram:
         # rank-k update (BLAS syrk) and mirrors the triangle it wrote, so M
         # is exactly symmetric on either side without averaging.
         M = Xc.T @ Xc if p < n else Xc @ Xc.T
+        # W sums the squared diagonal and twice the squared strict triangle:
+        # as M is exactly symmetric and doubling is exact, that is the sum of
+        # M * M, correctly rounded alike, from half the terms.
+        m = M.shape[0]
+        sq = np.concatenate((np.diagonal(M), M[np.tri(m, k=-1, dtype=bool)]))
+        sq *= sq
+        sq[m:] *= 2.0
         cg = CenteredGram(n=n, p=p, x_max=x_max, g=g, M=M,
-                          T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(M * M))
+                          T=exact_sum(g), t=exact_sum(g * g), W=exact_sum(sq))
     # Only a t below the normal range can raise, so only then is Xc scanned.
     if cg.t < TINY and np.any(Xc):
         require_normal(cg.t)

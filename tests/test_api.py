@@ -81,3 +81,17 @@ def test_import_estimate_and_ar1_simulate_load_no_scipy(tmp_path):
     if report["mapped"] is not None:
         assert report["held"] in report["mapped"]
         assert not [path for path in report["mapped"] if Path(path).parent.name == "scipy.libs"]
+
+
+def test_import_loads_no_numpy_random_and_no_scipy(tmp_path):
+    # Importing the package and its CLI stays lean: numpy.random, which only
+    # a sampling call needs, would add about 10 ms and 5 MB to every start,
+    # and scipy is a test-only dependency.
+    script = ("import sys, ellipkurt, ellipkurt.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+              "or m == 'numpy.random' or m.startswith('numpy.random.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -69,3 +69,39 @@ def test_operation_counts_and_provenance(bench_pairs):
     assert out["parent"] == {"attempted": 14, "failed": 2}
     assert out["change"] == {"attempted": 18, "failed": 0}
     assert out["provenance"] == {"parent": {"run": 0}, "change": {"run": 0}}
+
+
+PARENT = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]  # quartiles 9.925-10.075
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    # Nine wins of ten, 1.0 lower against a spread of 0.15.
+    ([v - 1.0 for v in PARENT[:9]] + [11.0], "lower", "gain"),
+    ([v + 1.0 for v in PARENT[:9]] + [9.0], "higher", "gain"),
+    # Eight wins of ten are too few for a gain; 1.0 lower is within bound.
+    ([v - 1.0 for v in PARENT[:8]] + [11.0, 11.0], "lower", "within bound"),
+    # Every pair won, by 0.1 in the median: inside the parent's spread.
+    ([v - 0.1 for v in PARENT], "lower", "within bound"),
+    # 30% worse against the 25% bound, and 20% worse.
+    ([v * 1.3 for v in PARENT], "lower", "regression"),
+    ([v * 0.7 for v in PARENT], "higher", "regression"),
+    ([v * 1.2 for v in PARENT], "lower", "within bound"),
+], ids=["gain-lower", "gain-higher", "eight-wins", "inside-spread", "regression-lower",
+        "regression-higher", "worse-within-bound"])
+def test_verdict(bench_pairs, change, better, expected):
+    entry = summary(bench_pairs, PARENT, change, better)["metrics"]["m"]
+    assert entry["verdict"] == expected
+
+
+def test_verdict_unresolved_where_the_parent_spreads_wider_than_the_bound(bench_pairs):
+    # The parent's quartiles 6.75-14 span 72.5% of its median 10 against a
+    # 25% bound: even 50% worse is unresolved, and so is a small gain.
+    parent = [4.0, 5.0, 6.0, 9.0, 10.0, 10.0, 11.0, 15.0, 17.0, 20.0]
+    assert summary(bench_pairs, parent, [v * 1.5 for v in parent], "lower")[
+        "metrics"]["m"]["verdict"] == "unresolved"
+    assert summary(bench_pairs, parent, [v - 0.5 for v in parent], "lower")[
+        "metrics"]["m"]["verdict"] == "unresolved"
+    # Unless every run of the change beats every run of the parent.
+    parent = [0.0, 0.0, 10.0, 10.5, 11.0]
+    entry = summary(bench_pairs, parent, [11.1, 11.2, 11.3, 11.4, 11.5], "higher")["metrics"]["m"]
+    assert (entry["change_wins"], entry["verdict"]) == (5, "within bound")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ellipkurt import CSV_HEADER, estimate_kurtosis, harness, validation
+from ellipkurt import CSV_HEADER, cli, estimate_kurtosis, harness, linalg, validation
 from ellipkurt.cli import _parse_lines, _read_lines, main, read_csv_matrix
 from ellipkurt.errors import CsvParseError
 
@@ -162,6 +163,28 @@ def test_estimate_all_intervals(tmp_path, capsys, gram_builds):
     assert "example1" in out
     # theta_hat and the case-2 plug-ins read one summary of the data.
     assert gram_builds == [(50, 4)]
+
+
+def test_estimate_centers_its_parsed_matrix_in_place(tmp_path, capsys, monkeypatch):
+    # estimate owns the matrix it parsed and reads it only through the Gram
+    # summary, which then centers it in place rather than in an n x p copy.
+    X = np.random.default_rng(5).normal(size=(1000, 100))
+    path = tmp_path / "tall.csv"
+    np.savetxt(path, X, delimiter=",")
+    peaks = []
+
+    def traced(X, overwrite_x=False):
+        tracemalloc.start()
+        try:
+            return linalg.centered_gram(X, overwrite_x=overwrite_x)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / X.nbytes)
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "centered_gram", traced)
+    assert main(["estimate", "--input", str(path)]) == 0
+    assert "theta" in capsys.readouterr().out
+    assert len(peaks) == 1 and peaks[0] < 0.5
 
 
 def test_estimate_writes_csv_reports(tmp_path, capsys):
@@ -335,6 +358,33 @@ def test_simulate_config_with_nothing_to_run_exit_2(tmp_path, capsys, dry_run):
 def test_simulate_config_unknown_ci_method_exit_2(tmp_path, capsys, dry_run):
     # An unknown interval method is a config error, not a traceback.
     assert "bogus" in refused_config_error(tmp_path, capsys, {"ci_methods": ["bogus"]}, dry_run)
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("bad, message", [
+    ({"p_list": [8, 12, 8]}, "p_list lists 8 more than once"),
+    ({"methods": ["oracle", "theta_hat", "oracle"]}, "methods lists 'oracle' more than once"),
+    ({"ci_methods": ["case1", "case1"]}, "ci_methods lists 'case1' more than once"),
+], ids=["p", "method", "ci-method"])
+def test_simulate_config_repeated_entry_exit_2(tmp_path, capsys, bad, message, dry_run):
+    # A repeated p, estimator or interval would run and be written twice.
+    assert message in refused_config_error(tmp_path, capsys, bad, dry_run)
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "8", "--p", "8"], "p_list lists 8 more than once"),
+    (["--ci-method", "case1", "--ci-method", "case1"], "ci_methods lists 'case1' more than once"),
+], ids=["p", "ci-method"])
+def test_simulate_repeated_family_flag_exit_2(tmp_path, capsys, flags, message, dry_run):
+    out_dir = tmp_path / "res"
+    args = ["simulate", "--family", "normal", "--n", "16", "--reps", "2", *flags,
+            "--out-dir", str(out_dir)]
+    assert main(args + ["--dry-run"] * dry_run) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "planned grid" not in captured.out
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("dry_run", [True, False])

@@ -286,6 +286,20 @@ def test_centered_gram_w_is_the_full_sum(n, p):
         centered_gram(X0 * (2.0 / W0) ** 0.25 * BIG**0.25)
 
 
+@pytest.mark.parametrize("n, p", [(2, 5), (24, 30), (34, 40), (35, 40), (100, 400), (60, 20)])
+def test_centered_gram_w_from_the_triangle_is_the_sum_of_m_squared(n, p):
+    # W is summed over the squared diagonal and the doubled strict triangle:
+    # the same bits, sign included, as exact_sum over all of M * M, on
+    # either side of fsum's 600-term crossover (n <= 34 gives at most 595
+    # triangle terms) and on both sides of the Gram choice (p < n at n=60).
+    X0 = np.random.default_rng([n, p]).normal(size=(n, p))
+    for scale in (1e-60, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e60):
+        cg = centered_gram(X0 * scale)
+        assert cg.W.hex() == exact_sum(cg.M * cg.M).hex()
+    cg = centered_gram(np.ones((n, p)))  # M is all zeros
+    assert cg.W.hex() == exact_sum(cg.M * cg.M).hex() == (0.0).hex()
+
+
 @pytest.mark.parametrize("n, p", [(9, 4), (4, 9)])
 def test_centered_gram_overwrite_x_centers_in_place(n, p):
     # The same summary bit for bit, and X then holds the centered rows; a
@@ -552,6 +566,45 @@ def test_ar1_root_releases_the_interpreter_lock():
         sys.setswitchinterval(interval)
     assert info == 0 and X is Z
     assert any(t0 < s < t1 for s in stamps)
+
+
+def one_array_sq_norms(Y, rho):
+    """||L^{-1} y||^2 per row from one whole n x (p - 1) difference array."""
+    D = np.multiply(Y[:, :-1], rho)
+    np.subtract(Y[:, 1:], D, out=D)
+    head = Y[:, 0]
+    return head * head + np.einsum("ij,ij->i", D, D) / (1.0 - rho * rho)
+
+
+LAYOUTS = {
+    "c": lambda B: np.ascontiguousarray(B[::2, ::3]),
+    "f": lambda B: np.asfortranarray(B[::2, ::3]),
+    "strided": lambda B: B[::2, ::3],
+    "f-strided": lambda B: np.asfortranarray(B)[::2, ::3],
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("p", [1, 2, 100, 328, 329, 1600, 5000])
+def test_ar1_whitened_sq_norms_in_blocks_is_one_array_bit_for_bit(p, layout, monkeypatch):
+    # Row blocks give each norm the bits of one whole difference array, for
+    # n within one block and n across several, in every memory layout. A
+    # one-entry block size asks for one-row blocks, which would sum a row
+    # of an F-ordered Y in another order; the blocks keep two rows.
+    sizes = [3, 100]
+    if p > 1:  # past 1.5 blocks, so at least two
+        sizes.append(3 * linalg._BLOCK_ELEMENTS // (p - 1) + 1)
+    for n in sizes:
+        Y = LAYOUTS[layout](np.random.default_rng([n, p]).normal(size=(2 * n, 3 * p)))
+        before = Y.copy()
+        for rho in (0.5, -0.3, 0.99):
+            want = one_array_sq_norms(Y, rho)
+            assert_same_bits(AR1(p, rho).whitened_sq_norms(Y), want)
+            if n <= 100:
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "_BLOCK_ELEMENTS", 1)
+                    assert_same_bits(AR1(p, rho).whitened_sq_norms(Y), want)
+        assert np.array_equal(Y, before)
 
 
 @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5, np.inf, np.nan])

@@ -16,8 +16,17 @@ The JSON written to ``--out`` holds, per workload: each side's provenance
 line, ``attempted`` and ``failed`` summed over its runs, and, for every
 end-to-end metric, each side's runs, median and quartiles; the change's
 wins, the pairs in which it reads better by the metric's ``better``
-direction (ties count for neither side); and the relative change of the
-medians next to the metric's regression bound.
+direction (ties count for neither side); the relative change of the
+medians next to the metric's regression bound; and a verdict, the first
+of these that holds:
+
+- ``gain``: the change wins at least nine tenths of the pairs, and its
+  median beats the parent's by more than the parent's quartile spread;
+- ``unresolved``: the parent's quartile spread, relative to its median, is
+  wider than the bound, and not every run of the change beats every run
+  of the parent, so the runs cannot tell a change of the bound's size;
+- ``regression``: the change's median is worse by more than the bound;
+- ``within bound``: anything else.
 
 Standard library only.
 """
@@ -89,8 +98,26 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         parent_median = q["parent"][1]
         entry["median_rel_change"] = (q["change"][1] / parent_median - 1.0
                                       if parent_median else None)
+        entry["verdict"] = verdict(entry, sign)
         out["metrics"][name] = entry
     return out
+
+
+def verdict(entry: dict, sign: float) -> str:
+    """The verdict on one metric's ``summarize`` entry (see the module
+    docstring); ``sign`` is +1 where higher is better and -1 where lower is."""
+    parent, change, bound = entry["parent"], entry["change"], entry["bound"]
+    gain = sign * (change["median"] - parent["median"])  # > 0: the change reads better
+    spread = parent["q3"] - parent["q1"]
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > spread:
+        return "gain"
+    scale = abs(parent["median"])
+    if spread > bound * scale and not all(sign * (c - p) > 0 for c in change["runs"]
+                                          for p in parent["runs"]):
+        return "unresolved"
+    if -gain > bound * scale:
+        return "regression"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -120,7 +147,7 @@ def main(argv=None) -> int:
         for name, m in summary["metrics"].items():
             print(f"{workload:14} {name:12} parent {m['parent']['median']:10.4g} "
                   f"change {m['change']['median']:10.4g}  change wins "
-                  f"{m['change_wins']}/{m['pairs']}")
+                  f"{m['change_wins']:2}/{m['pairs']}  {m['verdict']}")
     return 0
 
 
